@@ -131,7 +131,7 @@ func (th *Thread) MachMsgReceive(recvName PortName, opts MsgOption) (*Message, e
 	k := th.task.kernel
 	var sp ktrace.Span
 	if t := ktrace.For(k.CPU); t != nil {
-		sp = t.Begin(ktrace.EvIPCRecv, "mach.ipc", "recv:"+th.task.name, ktrace.SpanContext{})
+		sp = t.Begin(ktrace.EvIPCRecv, "mach.ipc", th.task.names.recv, ktrace.SpanContext{})
 	}
 	defer sp.End()
 	k.CPU.Exec(k.paths.msgStubS)

@@ -154,7 +154,7 @@ func (m *Message) Size() int {
 }
 
 // Batch returns the sub-messages of a vectored carrier, or nil for a
-// plain message.  Serve and the pool worker loops demultiplex carriers
+// plain message.  The server loop demultiplexes carriers
 // before the handler ever sees one; hand-rolled RPCReceive loops that
 // want vectored clients must do the same and answer with ReplyV.
 func (m *Message) Batch() []*Message { return m.batch }

@@ -5,9 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/kprof"
 	"repro/internal/kstat"
-	"repro/internal/ktrace"
 )
 
 // Server pools: N threads draining one receive right (or one port set)
@@ -34,7 +32,7 @@ type ServerPool struct {
 	// recv and handler are retained so a dead worker can be respawned on
 	// the same receive right (RespawnWorker).
 	recv    receiveFn
-	handler func(PortName, *Message) *Message
+	handler portHandler
 
 	// vtp is the pool's virtual capacity on multi-engine kernels: its
 	// workers' bursts serialize on these interchangeable server slots
@@ -42,7 +40,7 @@ type ServerPool struct {
 	// on each worker's own clock.
 	vtp *vtPool
 
-	// kstat family names, precomputed so the worker loop does no string
+	// kstat family names, precomputed so the server loop does no string
 	// concatenation per request.
 	busyFam, opsFam, workersFam string
 
@@ -60,23 +58,20 @@ type receiveFn func(*Thread) (*Message, *Responder, PortName, error)
 // n < 1 is treated as 1.  Workers exit when the port is destroyed or the
 // task terminates.
 func (t *Task) ServePool(name string, recv PortName, n int, h Handler) (*ServerPool, error) {
-	return t.servePool(name, n, func(th *Thread) (*Message, *Responder, PortName, error) {
-		req, resp, err := th.RPCReceive(recv)
-		return req, resp, recv, err
-	}, func(_ PortName, m *Message) *Message { return h(m) })
+	return t.servePool(name, n, receiveOn(recv), h.withPort())
 }
 
 // ServeSetPool starts n threads serving a port set with h; h also receives
-// the member port's name, as in ServeSet.  This is the paper-faithful shape
-// of the file server's port-per-open-file design: many object ports, a
-// fixed pool of threads, no thread per port.
+// the member port's name.  This is the paper-faithful shape of the file
+// server's port-per-open-file design: many object ports, a fixed pool of
+// threads, no thread per port.
 func (t *Task) ServeSetPool(name string, ps *PortSet, n int, h func(port PortName, req *Message) *Message) (*ServerPool, error) {
 	return t.servePool(name, n, func(th *Thread) (*Message, *Responder, PortName, error) {
 		return th.RPCReceiveSet(ps)
 	}, h)
 }
 
-func (t *Task) servePool(name string, n int, recv receiveFn, h func(PortName, *Message) *Message) (*ServerPool, error) {
+func (t *Task) servePool(name string, n int, recv receiveFn, h portHandler) (*ServerPool, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -121,7 +116,7 @@ func (p *ServerPool) spawnWorker(idx int) error {
 				st.Gauge(p.workersFam).Dec()
 			}
 		}()
-		p.worker(th, idx, p.recv, p.handler)
+		_ = th.serveLoop(p.recv, p.handler, th.task.names.serve+"/"+th.name, p, idx)
 	})
 	if err != nil {
 		return err
@@ -130,59 +125,6 @@ func (p *ServerPool) spawnWorker(idx int) error {
 	p.threads[idx] = th
 	p.mu.Unlock()
 	return nil
-}
-
-// worker is one pool thread's loop.  Its ktrace span is per-thread (named
-// serve:<task>/<worker>) and covers the handler AND the reply delivery, so
-// a trace attributes the full server-side segment of each RPC to the
-// worker that ran it.  A failed reply delivery (oversized or bad-rights
-// reply) poisons neither the worker nor the port: the client was already
-// unblocked with ErrReplyFailed, so the worker just takes the next
-// request.  Only a receive failure (dead port, terminated thread) ends the
-// worker.
-func (p *ServerPool) worker(th *Thread, idx int, recv receiveFn, h func(PortName, *Message) *Message) {
-	k := th.task.kernel
-	// Per-worker kprof context frame, computed once so the loop does no
-	// string concatenation per request.
-	serveCtx := "serve:" + th.task.name + "/" + th.name
-	for {
-		req, resp, pn, err := recv(th)
-		if err != nil {
-			return
-		}
-		// Worker occupancy: the busy gauge covers handler + reply, the
-		// same segment the EvRPCServe span attributes, so the monitor's
-		// pool occupancy and the trace calibration agree on what "busy"
-		// means.
-		st := kstat.For(k.CPU)
-		if st != nil {
-			st.Gauge(p.busyFam).Inc()
-		}
-		reply := func() {
-			hm := func(m *Message) *Message { return h(pn, m) }
-			if pr := kprof.For(k.CPU); pr != nil {
-				pop := pr.Push(serveCtx)
-				popOp := pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))
-				_ = dispatchReply(resp, req, hm)
-				popOp()
-				pop()
-			} else {
-				_ = dispatchReply(resp, req, hm)
-			}
-		}
-		if tr := ktrace.For(k.CPU); tr != nil {
-			sp := tr.Begin(ktrace.EvRPCServe, "mach.rpc", "serve:"+th.task.name+"/"+th.name, req.trace)
-			reply()
-			sp.End()
-		} else {
-			reply()
-		}
-		if st != nil {
-			st.Gauge(p.busyFam).Dec()
-			st.Counter(p.opsFam).Inc()
-		}
-		p.ops[idx].Add(1)
-	}
 }
 
 // Size reports the number of worker slots.

@@ -207,9 +207,6 @@ func TestServePoolConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := pool.Ops(); got != clients*opsEach {
-		t.Fatalf("pool.Ops = %d, want %d", got, clients*opsEach)
-	}
 	mu.Lock()
 	unique := len(handled)
 	mu.Unlock()
@@ -236,6 +233,11 @@ func TestServePoolConcurrentClients(t *testing.T) {
 	case <-waited:
 	case <-time.After(2 * time.Second):
 		t.Fatal("pool workers did not exit after port destruction")
+	}
+	// A worker counts a request after its reply is delivered, so the
+	// total is final only once every worker has exited.
+	if got := pool.Ops(); got != clients*opsEach {
+		t.Fatalf("pool.Ops = %d, want %d", got, clients*opsEach)
 	}
 }
 
@@ -303,6 +305,10 @@ func TestServeSetPool(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// A worker counts a request after its reply is delivered, so read the
+	// total once every worker has exited.
+	pool.Stop()
+	pool.Wait()
 	if got := pool.Ops(); got != members*10 {
 		t.Fatalf("pool.Ops = %d, want %d", got, members*10)
 	}

@@ -34,11 +34,6 @@ type PortSet struct {
 	// taken from a member port's rendezvous but no server thread has
 	// received yet.
 	pendFam string
-
-	// pool gives the set's server threads their virtual-time identity:
-	// one slot per receiving thread, bursts serialized on the
-	// earliest-free slot (see vtPool).
-	pool vtPool
 }
 
 type setDelivery struct {
@@ -242,48 +237,6 @@ func (th *Thread) RPCReceiveSet(ps *PortSet) (*Message, *Responder, PortName, er
 		return nil, nil, NullName, ErrDeadPort
 	}
 	th.clearWait()
-	// P2 for set-served requests (the file server's port-per-open-file
-	// pools): queue-wait — including the forwarder relay — ends when a
-	// pool thread takes the delivery.
-	d.ex.request.lat.StampPicked()
-	// One scheduled burst covers receive, handler and reply, as in
-	// RPCReceive; the release rides in the Responder.  The burst
-	// serializes on the pool's virtual capacity — not on th's own
-	// clock, since which worker goroutine won this rendezvous is a
-	// wall-clock accident — and cannot start before the client's send
-	// burst completed in modeled time.  A ServerPool worker carries its
-	// pool; a bare ServeSet thread registers on the set's own.
-	pool := th.poolVT
-	if pool == nil {
-		pool = &ps.pool
-		pool.ensure(th)
-	}
-	rel := k.schedRunPool(th, pool, d.ex.caller.vt.Load())
-	k.CPU.SwitchAddressSpace(th.task.asid)
-	k.CPU.Exec(k.paths.rpcReceive)
-	k.CPU.Exec(k.paths.rpcStubS)
-	k.touchKData(d.port.id, 96)
-	if len(d.ex.request.Rights) > 0 {
-		th.task.acceptRights(d.ex.request)
-	}
-	d.port.mu.Lock()
-	d.port.seqno++
-	d.ex.request.Seq = d.port.seqno
-	d.port.mu.Unlock()
-	k.rti()
-	return d.ex.request, &Responder{ex: d.ex, port: d.port, srv: th, release: rel}, d.name, nil
-}
-
-// ServeSet runs a combined server loop over the set: h also receives the
-// member port's name.
-func (th *Thread) ServeSet(ps *PortSet, h func(port PortName, req *Message) *Message) error {
-	for {
-		req, resp, name, err := th.RPCReceiveSet(ps)
-		if err != nil {
-			return err
-		}
-		if err := resp.Reply(h(name, req)); err != nil {
-			return err
-		}
-	}
+	req, resp := th.accept(d.ex, d.port)
+	return req, resp, d.name, nil
 }

@@ -71,8 +71,7 @@ type CallOpts struct {
 // server thread is waiting in RPCReceive on the destination port, hands
 // the request over with a single physical copy, and blocks until the reply
 // arrives.  There is no reply port and no queuing.  Call and CallV are
-// the only supported client entry points; RPC and RPCWithTimeout are
-// deprecated wrappers.
+// the client entry points.
 func (th *Thread) Call(dest PortName, req *Message, opts CallOpts) (*Message, error) {
 	if len(opts.Batch) > 0 {
 		reqs := append([]*Message{req}, opts.Batch...)
@@ -118,7 +117,7 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 	return reply.batch, nil
 }
 
-// callMsg arms the optional deadline and runs the shared client path.
+// callMsg arms the optional deadline and runs the client path.
 func (th *Thread) callMsg(dest PortName, req *Message, timeout time.Duration) (*Message, error) {
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
@@ -128,163 +127,143 @@ func (th *Thread) callMsg(dest PortName, req *Message, timeout time.Duration) (*
 	return th.rpcCall(dest, req, nil)
 }
 
-// RPC is Call with the zero options (no deadline).
-//
-// Deprecated: use Call.  Kept only so out-of-tree callers keep
-// compiling; all in-tree callers have migrated.
-func (th *Thread) RPC(dest PortName, req *Message) (*Message, error) {
-	return th.Call(dest, req, CallOpts{})
+// rpcNames are the observation-plane names derived from one task's
+// name: the flight-recorder events of calls to it, receives by it and
+// dispatches of its threads, its kprof client and server frames (the
+// receive and server names double as ktrace span names), and its
+// per-destination kstat family.  Built once per task, so the RPC path
+// concatenates no strings on success.
+type rpcNames struct {
+	task                      string // "" for an unknown destination
+	call, reply, errPrefix    string // call:<t>, reply:<t>, error:<t>:
+	callv, replyv, errvPrefix string // callv:<t>, replyv:<t>, errorv:<t>:
+	recv, dispatch            string // recv:<t>, dispatch:<t>
+	rpc, serve                string // rpc:<t>, serve:<t>
+	toCalls                   string // mach.rpc.to.<t>.calls; "" when unnamed
 }
 
-// RPCWithTimeout is Call with a deadline; the paper's RPC kept a timeout
-// option for device and network servers.
-//
-// Deprecated: use Call with CallOpts.Timeout.
-func (th *Thread) RPCWithTimeout(dest PortName, req *Message, d time.Duration) (*Message, error) {
-	return th.Call(dest, req, CallOpts{Timeout: d})
+// unknownDest names a destination with no receiving task (or an unnamed
+// one): events and frames read "?" and no per-destination family exists.
+var unknownDest = newRPCNames("")
+
+func newRPCNames(task string) *rpcNames {
+	shown := task
+	if shown == "" {
+		shown = "?"
+	}
+	n := &rpcNames{
+		task: task,
+		call: "call:" + shown, reply: "reply:" + shown, errPrefix: "error:" + shown + ":",
+		callv: "callv:" + shown, replyv: "replyv:" + shown, errvPrefix: "errorv:" + shown + ":",
+		recv: "recv:" + task, dispatch: "dispatch:" + task,
+		rpc: "rpc:" + shown, serve: "serve:" + task,
+	}
+	if task != "" {
+		n.toCalls = "mach.rpc.to." + task + ".calls"
+	}
+	return n
 }
 
-// rpcCall wraps the shared client path with the kstat RPC families.  The
-// hooks only read the engine's counters (never charge them), so the
-// wrapped path costs exactly what the raw path does; the per-call
-// instr/cycles deltas are exact for serial callers and interleave under
-// concurrency (counts and bytes stay exact either way).
+// destNames resolves dest to its receiving task's names without charging
+// anything: one lookup in the caller's space and one read of the port.
+func (t *Task) destNames(dest PortName) *rpcNames {
+	if e, err := t.ports.lookup(dest, RightSend); err == nil {
+		if rt := e.port.receiverTask(); rt != nil {
+			return rt.names
+		}
+	}
+	return unknownDest
+}
+
+// rpcCall is the one client path, and every observation hook of a call
+// lives here with each plane looked up once: the latency ledger's hop,
+// the flight recorder's call and outcome events, the kprof rpc:<server>
+// frame, the kstat RPC families and the ktrace rpc span.  The hooks only
+// read the engine's counters (never charge them), so an observed call
+// costs exactly what an unobserved one does; the per-call instr/cycles
+// deltas are exact for serial callers and interleave under concurrency
+// (counts and bytes stay exact either way).  A nil deadline channel
+// never fires.
 func (th *Thread) rpcCall(dest PortName, req *Message, deadline <-chan time.Time) (m *Message, err error) {
 	k := th.task.kernel
-	st := kstat.For(k.CPU)
-	pr := kprof.For(k.CPU)
-	fr := kflight.For(k.CPU)
-	lt := klat.For(k.CPU)
-	if st == nil && pr == nil && fr == nil && lt == nil {
-		return th.rpcCallRaw(dest, req, deadline)
-	}
-	// Charge-free destination-server lookup, shared by the kstat
-	// per-destination split, the kprof dispatch context frame, the
-	// flight recorder's call event, and the latency ledger's hop.
-	srvName := ""
-	if e, lerr := th.task.ports.lookup(dest, RightSend); lerr == nil {
-		if rt := e.port.receiverTask(); rt != nil {
-			srvName = rt.name
+	st, pr, fr, lt, tr := kstat.For(k.CPU), kprof.For(k.CPU), kflight.For(k.CPU), klat.For(k.CPU), ktrace.For(k.CPU)
+	if st != nil || pr != nil || fr != nil || lt != nil {
+		dn := th.task.destNames(dest)
+		if lt != nil {
+			// Every client entry point mints a hop here: P0 now, P1–P3
+			// from the stamp points down the path (the hop rides in the
+			// message header), P4 and the record/discard decision when
+			// the named return is known.  A call made while serving
+			// another request attaches to that request's ledger as a
+			// child hop.
+			hop := lt.Begin(dn.task, uint32(req.ID), len(req.batch))
+			req.lat = hop
+			defer func() { lt.Finish(hop, err) }()
 		}
-	}
-	if lt != nil {
-		// Every client entry point mints a hop here: P0 now, P1–P3 from
-		// the stamp points down the path (the hop rides in the message
-		// header), P4 and the record/discard decision when the named
-		// return is known.  A call made while serving another request
-		// attaches to that request's ledger as a child hop.
-		hop := lt.Begin(srvName, uint32(req.ID), len(req.batch))
-		req.lat = hop
-		defer func() { lt.Finish(hop, err) }()
-	}
-	if fr != nil {
-		name := srvName
-		if name == "" {
-			name = "?"
-		}
-		// Batch-aware events: a vectored carrier logs callv/replyv with
-		// the sub-request count, so a flight dump distinguishes one
-		// crossing carrying N ops from N crossings.
-		if n := len(req.batch); n > 0 {
-			fr.Emit(ktrace.EvRPC, "mach.rpc", "callv:"+name, uint64(n))
+		if fr != nil {
+			// Batch-aware events: a vectored carrier logs callv/replyv
+			// with the sub-request count, so a flight dump distinguishes
+			// one crossing carrying N ops from N crossings.
+			call, reply, errPrefix, arg := dn.call, dn.reply, dn.errPrefix, uint64(req.ID)
+			if n := len(req.batch); n > 0 {
+				call, reply, errPrefix, arg = dn.callv, dn.replyv, dn.errvPrefix, uint64(n)
+			}
+			fr.Emit(ktrace.EvRPC, "mach.rpc", call, arg)
 			defer func() {
 				if err != nil {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "errorv:"+name+":"+err.Error(), uint64(n))
+					fr.Emit(ktrace.EvRPC, "mach.rpc", errPrefix+err.Error(), arg)
 				} else {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "replyv:"+name, uint64(n))
-				}
-			}()
-		} else {
-			fr.Emit(ktrace.EvRPC, "mach.rpc", "call:"+name, uint64(req.ID))
-			// Named returns let the outcome event see how the call resolved.
-			defer func() {
-				if err != nil {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "error:"+name+":"+err.Error(), uint64(req.ID))
-				} else {
-					fr.Emit(ktrace.EvRPC, "mach.rpc", "reply:"+name, uint64(req.ID))
+					fr.Emit(ktrace.EvRPC, "mach.rpc", reply, arg)
 				}
 			}()
 		}
-	}
-	if pr != nil {
-		frame := "rpc:?"
-		if srvName != "" {
-			frame = "rpc:" + srvName
+		if pr != nil {
+			defer pr.Push(dn.rpc)()
 		}
-		defer pr.Push(frame)()
-	}
-	if st == nil {
-		return th.rpcCallRaw(dest, req, deadline)
-	}
-	reqBytes := copiedBytes(req)
-	// Calls and request bytes count at dispatch, so a server taking a
-	// snapshot while handling this very call (the monitor serving its own
-	// query) already sees it; latency and reply size land after.  A
-	// vectored carrier is ONE call (the conservation law calls == replies
-	// + errors holds per crossing); its width lands on mach.rpc.batched.
-	st.Counter("mach.rpc.calls").Inc()
-	st.Counter("mach.rpc.bytes_in").Add(reqBytes)
-	if n := len(req.batch); n > 0 {
-		st.Counter("mach.rpc.batched").Add(uint64(n))
-	}
-	if rb := regionBytes(req); rb > 0 {
-		st.Counter("mach.ool.bytes_mapped").Add(rb)
-	}
-	if srvName != "" {
-		st.Counter("mach.rpc.to." + srvName + ".calls").Inc()
-	}
-	base := k.CPU.Counters()
-	m, err = th.rpcCallRaw(dest, req, deadline)
-	d := k.CPU.Counters().Sub(base)
-	st.Counter("mach.rpc.instr").Add(d.Instructions)
-	st.Counter("mach.rpc.cycles").Add(d.Cycles)
-	st.Counter("mach.rpc.bus").Add(d.BusCycles)
-	st.Histogram("mach.rpc.latency_cycles").Observe(d.Cycles)
-	st.Histogram("mach.rpc.size_bytes").Observe(reqBytes)
-	if err != nil {
-		st.Counter("mach.rpc.errors").Inc()
-	} else {
-		// Every dispatched call resolves as exactly one reply or one
-		// error, so after quiesce calls == replies + errors — the
-		// conservation law the chaos harness checks after each fault
-		// epoch.
-		st.Counter("mach.rpc.replies").Inc()
-		st.Counter("mach.rpc.bytes_out").Add(copiedBytes(m))
-		if rb := regionBytes(m); rb > 0 {
-			st.Counter("mach.ool.bytes_mapped").Add(rb)
+		if st != nil {
+			// Calls and request bytes count at dispatch, so a server
+			// taking a snapshot while handling this very call (the
+			// monitor serving its own query) already sees it; latency
+			// and reply size land after.  A vectored carrier is ONE call
+			// (the conservation law calls == replies + errors holds per
+			// crossing); its width lands on mach.rpc.batched.
+			reqBytes := copiedBytes(req)
+			st.Counter("mach.rpc.calls").Inc()
+			st.Counter("mach.rpc.bytes_in").Add(reqBytes)
+			if n := len(req.batch); n > 0 {
+				st.Counter("mach.rpc.batched").Add(uint64(n))
+			}
+			if rb := regionBytes(req); rb > 0 {
+				st.Counter("mach.ool.bytes_mapped").Add(rb)
+			}
+			if dn.toCalls != "" {
+				st.Counter(dn.toCalls).Inc()
+			}
+			base := k.CPU.Counters()
+			defer func() {
+				d := k.CPU.Counters().Sub(base)
+				st.Counter("mach.rpc.instr").Add(d.Instructions)
+				st.Counter("mach.rpc.cycles").Add(d.Cycles)
+				st.Counter("mach.rpc.bus").Add(d.BusCycles)
+				st.Histogram("mach.rpc.latency_cycles").Observe(d.Cycles)
+				st.Histogram("mach.rpc.size_bytes").Observe(reqBytes)
+				if err != nil {
+					st.Counter("mach.rpc.errors").Inc()
+					return
+				}
+				// Every dispatched call resolves as exactly one reply or
+				// one error, so after quiesce calls == replies + errors —
+				// the conservation law the chaos harness checks after
+				// each fault epoch.
+				st.Counter("mach.rpc.replies").Inc()
+				st.Counter("mach.rpc.bytes_out").Add(copiedBytes(m))
+				if rb := regionBytes(m); rb > 0 {
+					st.Counter("mach.ool.bytes_mapped").Add(rb)
+				}
+			}()
 		}
 	}
-	return m, err
-}
 
-// copiedBytes counts the bytes a message moves through the physical copy
-// path: inline bodies and copy-once OOL payloads, across every
-// sub-message of a carrier.  Region payloads are excluded — they move by
-// map manipulation and land on mach.ool.bytes_mapped instead.
-func copiedBytes(m *Message) uint64 {
-	n := uint64(len(m.Body) + len(m.OOL))
-	for _, sub := range m.batch {
-		n += uint64(len(sub.Body) + len(sub.OOL))
-	}
-	return n
-}
-
-// regionBytes counts the payload bytes a message transfers by reference.
-func regionBytes(m *Message) uint64 {
-	var n uint64
-	for i := range m.Regions {
-		n += m.Regions[i].Len
-	}
-	for _, sub := range m.batch {
-		n += regionBytes(sub)
-	}
-	return n
-}
-
-// rpcCallRaw is the shared client path.  A nil deadline channel never
-// fires.
-func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.Time) (*Message, error) {
-	k := th.task.kernel
 	if len(req.Body) > InlineMax {
 		return nil, ErrMsgTooLarge
 	}
@@ -310,12 +289,12 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	}
 	defer release()
 	var sp ktrace.Span
-	if t := ktrace.For(k.CPU); t != nil {
+	if tr != nil {
 		lbl := fmt.Sprintf("rpc:%#04x", uint32(req.ID))
 		if n := len(req.batch); n > 0 {
 			lbl = fmt.Sprintf("rpcv:%#04x[%d]", uint32(req.ID), n)
 		}
-		sp = t.Begin(ktrace.EvRPC, "mach.rpc", lbl, req.trace)
+		sp = tr.Begin(ktrace.EvRPC, "mach.rpc", lbl, req.trace)
 		req.trace = sp.Context()
 	}
 	defer sp.End()
@@ -418,12 +397,35 @@ func (th *Thread) rpcCallRaw(dest PortName, req *Message, deadline <-chan time.T
 	return out.m, nil
 }
 
+// copiedBytes counts the bytes a message moves through the physical copy
+// path: inline bodies and copy-once OOL payloads, across every
+// sub-message of a carrier.  Region payloads are excluded — they move by
+// map manipulation and land on mach.ool.bytes_mapped instead.
+func copiedBytes(m *Message) uint64 {
+	n := uint64(len(m.Body) + len(m.OOL))
+	for _, sub := range m.batch {
+		n += uint64(len(sub.Body) + len(sub.OOL))
+	}
+	return n
+}
+
+// regionBytes counts the payload bytes a message transfers by reference.
+func regionBytes(m *Message) uint64 {
+	var n uint64
+	for i := range m.Regions {
+		n += m.Regions[i].Len
+	}
+	for _, sub := range m.batch {
+		n += regionBytes(sub)
+	}
+	return n
+}
+
 // RPCReceive blocks the calling server thread until an RPC arrives on the
 // port named by recvName (which must denote a receive right in the
 // thread's task).  It returns the request and a Responder that must be
 // used exactly once.
 func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
-	k := th.task.kernel
 	port, _, err := th.task.portFor(recvName, RightReceive)
 	if err != nil {
 		return nil, nil, err
@@ -447,20 +449,30 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 		return nil, nil, ErrAborted
 	}
 	th.clearWait()
-	// P2: a server thread has the exchange; queue-wait ends, the
-	// service segment (receive path, handler, reply) begins.
+	req, resp := th.accept(ex, port)
+	return req, resp, nil
+}
+
+// accept is the one receive hand-off, shared by RPCReceive and
+// RPCReceiveSet once a server thread holds an exchange taken from port
+// (directly or through a set).  It loads the server's address space,
+// runs the receive return path and the simplified server stub, installs
+// carried rights and stamps the port's sequence number.
+//
+// The burst dispatched here covers receive, handler and reply — its
+// release travels in the Responder, and it cannot start before the
+// client's send burst completed in modeled time.  Pool workers serialize
+// on the pool's virtual capacity, not on their own clock (which worker
+// won the rendezvous is a wall-clock accident).
+func (th *Thread) accept(ex *rpcExchange, port *Port) (*Message, *Responder) {
+	k := th.task.kernel
+	// P2: a server thread has the exchange; queue-wait (including any
+	// port-set relay) ends, the service segment (receive path, handler,
+	// reply) begins.
 	ex.request.lat.StampPicked()
 	if fr := kflight.For(k.CPU); fr != nil {
-		fr.Emit(ktrace.EvRPCServe, "mach.rpc", "recv:"+th.task.name, uint64(ex.request.ID))
+		fr.Emit(ktrace.EvRPCServe, "mach.rpc", th.task.names.recv, uint64(ex.request.ID))
 	}
-
-	// The server side of the hand-off: load the server's address space,
-	// run the receive return path and the simplified server stub.  The
-	// burst dispatched here covers receive, handler and reply — its
-	// release travels in the Responder, and it cannot start before the
-	// client's send burst completed in modeled time.  Pool workers
-	// serialize on the pool's virtual capacity, not on their own clock
-	// (which worker won the rendezvous is a wall-clock accident).
 	var rel func()
 	if th.poolVT != nil {
 		rel = k.schedRunPool(th, th.poolVT, ex.caller.vt.Load())
@@ -480,7 +492,7 @@ func (th *Thread) RPCReceive(recvName PortName) (*Message, *Responder, error) {
 	ex.request.Seq = port.seqno
 	port.mu.Unlock()
 	k.rti()
-	return ex.request, &Responder{ex: ex, port: port, srv: th, release: rel}, nil
+	return ex.request, &Responder{ex: ex, port: port, srv: th, release: rel}
 }
 
 // chargeTransfer charges the data-movement half of one RPC crossing in
@@ -543,12 +555,7 @@ func (k *Kernel) chargeRegions(m *Message) {
 // returns ErrBatchMismatch.
 func (r *Responder) Reply(reply *Message) error {
 	if len(r.ex.request.batch) > 0 {
-		if r.done {
-			return ErrNoReplyExpected
-		}
-		r.finish()
-		r.ex.fail(ErrReplyFailed)
-		return ErrBatchMismatch
+		return r.mismatch()
 	}
 	return r.deliver(reply)
 }
@@ -559,24 +566,11 @@ func (r *Responder) Reply(reply *Message) error {
 // batch mismatch, except for the degenerate single-reply case.
 func (r *Responder) ReplyV(replies []*Message) error {
 	n := len(r.ex.request.batch)
-	if n == 0 {
-		if len(replies) == 1 {
-			return r.deliver(replies[0])
-		}
-		if r.done {
-			return ErrNoReplyExpected
-		}
-		r.finish()
-		r.ex.fail(ErrReplyFailed)
-		return ErrBatchMismatch
+	if n == 0 && len(replies) == 1 {
+		return r.deliver(replies[0])
 	}
-	if len(replies) != n {
-		if r.done {
-			return ErrNoReplyExpected
-		}
-		r.finish()
-		r.ex.fail(ErrReplyFailed)
-		return ErrBatchMismatch
+	if n == 0 || len(replies) != n {
+		return r.mismatch()
 	}
 	subs := make([]*Message, n)
 	for i, sub := range replies {
@@ -588,9 +582,20 @@ func (r *Responder) ReplyV(replies []*Message) error {
 	return r.deliver(&Message{ID: subs[0].ID, batch: subs})
 }
 
-// finish consumes the responder and ends the server burst.
-func (r *Responder) finish() {
+// mismatch consumes the responder for a reply of the wrong shape: the
+// client unblocks with ErrReplyFailed, the server gets ErrBatchMismatch.
+func (r *Responder) mismatch() error {
+	if r.done {
+		return ErrNoReplyExpected
+	}
 	r.done = true
+	r.endBurst()
+	r.ex.fail(ErrReplyFailed)
+	return ErrBatchMismatch
+}
+
+// endBurst ends the server burst the receive hand-off placed, once.
+func (r *Responder) endBurst() {
 	if r.release != nil {
 		r.release()
 		r.release = nil
@@ -603,12 +608,7 @@ func (r *Responder) deliver(reply *Message) error {
 		return ErrNoReplyExpected
 	}
 	r.done = true
-	defer func() {
-		if r.release != nil {
-			r.release()
-			r.release = nil
-		}
-	}()
+	defer r.endBurst()
 	k := r.srv.task.kernel
 	if reply == nil {
 		reply = &Message{}
@@ -650,8 +650,7 @@ func (r *Responder) deliver(reply *Message) error {
 		// carries the handler's virtual completion time and the client's
 		// resume starts after it in modeled time.
 		if r.release != nil {
-			r.release()
-			r.release = nil
+			r.endBurst()
 			// The burst just settled: attach its modeled schedule to the
 			// hop's ledger.  On a multi-engine run the wall-clock segments
 			// measure global work during the hop, not this request's own
@@ -684,6 +683,23 @@ func (p *Port) receiverASID() uint64 {
 // Handler processes one RPC request and returns the reply.
 type Handler func(*Message) *Message
 
+// portHandler is a Handler that is also told which port the request
+// arrived on: the member port of a set, or the served receive right.
+type portHandler func(port PortName, req *Message) *Message
+
+// withPort adapts h to the loop's portHandler shape.
+func (h Handler) withPort() portHandler {
+	return func(_ PortName, m *Message) *Message { return h(m) }
+}
+
+// receiveOn is the receiveFn of a loop serving one receive right.
+func receiveOn(recv PortName) receiveFn {
+	return func(th *Thread) (*Message, *Responder, PortName, error) {
+		req, resp, err := th.RPCReceive(recv)
+		return req, resp, recv, err
+	}
+}
+
 // dispatchReply runs h and delivers the reply, demultiplexing vectored
 // carriers: each sub-request is handled independently, in order, and the
 // sub-replies travel back in one crossing.  Handlers never see a
@@ -696,7 +712,7 @@ type Handler func(*Message) *Message
 // carrier additionally gets one sub-hop per demultiplexed sub-request —
 // its service window — bound in place of the carrier while that sub
 // runs.  All of it is nil-safe no-ops on detached boots.
-func dispatchReply(resp *Responder, req *Message, h Handler) error {
+func dispatchReply(resp *Responder, req *Message, port PortName, h portHandler) error {
 	unbind := req.lat.Bind()
 	defer unbind()
 	if subs := req.batch; subs != nil {
@@ -704,55 +720,69 @@ func dispatchReply(resp *Responder, req *Message, h Handler) error {
 		for i, sub := range subs {
 			sh := req.lat.BeginSub(uint32(sub.ID))
 			rebind := sh.Bind()
-			replies[i] = h(sub)
+			replies[i] = h(port, sub)
 			rebind()
 			sh.EndSub()
 		}
 		return resp.ReplyV(replies)
 	}
-	return resp.Reply(h(req))
+	return resp.Reply(h(port, req))
 }
 
-// Serve runs a server loop on the named receive right: each iteration
-// blocks in RPCReceive, applies h, and replies.  It exits when the thread
-// or port dies.  This is the "optimized and simplified ... server loop" of
-// the rework.
+// Serve runs the server loop on the calling thread over the named receive
+// right: each iteration blocks in RPCReceive, applies h, and replies.  It
+// returns when the thread or port dies.
 func (th *Thread) Serve(recvName PortName, h Handler) error {
+	return th.serveLoop(receiveOn(recvName), h.withPort(), th.task.names.serve, nil, 0)
+}
+
+// serveLoop is the one server loop — the rework's "optimized and
+// simplified ... server loop" — run by Serve and by every ServerPool
+// worker.  Around each dispatchReply it opens the ktrace EvRPCServe span
+// and pushes the kprof server frame, both named frame (serve:<task>, or
+// serve:<task>/<worker> in a pool), plus an op:<id> frame so cycles roll
+// up by server and by operation.  The span is parented to the client's
+// RPC span carried in the message, so the causal tree crosses tasks; it
+// covers the handler AND reply delivery, which together are the
+// server-occupancy segment of one RPC that the concurrency model in
+// internal/bench calibrates from.  A pool worker (p non-nil) also keeps
+// the pool's busy gauge over the same segment and counts the completion.
+//
+// A failed reply delivery (oversized or bad-rights reply) poisons neither
+// the thread nor the port: the client was already unblocked with
+// ErrReplyFailed, so the loop takes the next request.  Only a receive
+// failure (dead port, terminated thread) ends the loop.
+func (th *Thread) serveLoop(recv receiveFn, h portHandler, frame string, p *ServerPool, idx int) error {
 	k := th.task.kernel
 	for {
-		req, resp, err := th.RPCReceive(recvName)
+		req, resp, port, err := recv(th)
 		if err != nil {
 			return err
 		}
-		var rerr error
-		serve := func() {
-			if pr := kprof.For(k.CPU); pr != nil {
-				// Profile context: the server frame plus the operation
-				// being handled, so cycles roll up by server and by op.
-				pop := pr.Push("serve:" + th.task.name)
-				popOp := pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))
-				rerr = dispatchReply(resp, req, h)
-				popOp()
-				pop()
-			} else {
-				rerr = dispatchReply(resp, req, h)
-			}
+		st := kstat.For(k.CPU)
+		if p != nil && st != nil {
+			st.Gauge(p.busyFam).Inc()
 		}
-		if t := ktrace.For(k.CPU); t != nil {
-			// The server-side span is parented to the client's RPC span
-			// carried in the message, so the causal tree crosses tasks.
-			// It covers the handler AND reply delivery: together they are
-			// the server-occupancy segment of one RPC, which the
-			// concurrency model in internal/bench calibrates from these
-			// spans.  ServerPool workers emit the same shape.
-			sp := t.Begin(ktrace.EvRPCServe, "mach.rpc", "serve:"+th.task.name, req.trace)
-			serve()
-			sp.End()
+		var sp ktrace.Span
+		if tr := ktrace.For(k.CPU); tr != nil {
+			sp = tr.Begin(ktrace.EvRPCServe, "mach.rpc", frame, req.trace)
+		}
+		if pr := kprof.For(k.CPU); pr != nil {
+			pop := pr.Push(frame)
+			popOp := pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))
+			_ = dispatchReply(resp, req, port, h)
+			popOp()
+			pop()
 		} else {
-			serve()
+			_ = dispatchReply(resp, req, port, h)
 		}
-		if rerr != nil {
-			return rerr
+		sp.End()
+		if p != nil {
+			if st != nil {
+				st.Gauge(p.busyFam).Dec()
+				st.Counter(p.opsFam).Inc()
+			}
+			p.ops[idx].Add(1)
 		}
 	}
 }

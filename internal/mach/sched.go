@@ -66,7 +66,6 @@ type sched struct {
 	bursts      atomic.Uint64
 }
 
-
 // schedEngine is the per-engine scheduler state.
 type schedEngine struct {
 	eng  *cpu.Engine
@@ -229,52 +228,30 @@ func (s *sched) pick(th *Thread) (se *schedEngine, stolen bool) {
 // progress at M servers' worth of work while idle gaps stay
 // backfillable.
 //
-// Slots are normally one per receiving thread (registered on first
-// receive, or fixed by a ServerPool), but a pool fronting one physical
+// Slots are one per pool thread, but a pool fronting one physical
 // resource can cap them below its thread count — the block driver runs
 // its virtual capacity at one slot because its bursts are dominated by
 // device time and there is only one disk arm.
 type vtPool struct {
 	mu    sync.Mutex
-	reg   map[*Thread]struct{} // dynamic sizing; nil once fixed
 	slots []uint64
-	fixed bool
 }
 
-// newVTPool returns a pool with a fixed number of virtual servers.
+// newVTPool returns a pool of n virtual servers (at least one).
 func newVTPool(n int) *vtPool {
-	if n < 1 {
-		n = 1
-	}
-	return &vtPool{slots: make([]uint64, n), fixed: true}
+	p := &vtPool{}
+	p.setSize(n)
+	return p
 }
 
-// ensure grows a dynamically-sized pool to cover th (no-op when fixed).
-func (p *vtPool) ensure(th *Thread) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fixed {
-		return
-	}
-	if p.reg == nil {
-		p.reg = make(map[*Thread]struct{})
-	}
-	if _, ok := p.reg[th]; !ok {
-		p.reg[th] = struct{}{}
-		p.slots = append(p.slots, 0)
-	}
-}
-
-// setSize fixes the pool at n virtual servers, dropping any dynamic
-// registration.  Boot-time only, before traffic.
+// setSize resets the pool to n virtual servers (at least one).
+// Boot-time only, before traffic.
 func (p *vtPool) setSize(n int) {
 	if n < 1 {
 		n = 1
 	}
 	p.mu.Lock()
 	p.slots = make([]uint64, n)
-	p.reg = nil
-	p.fixed = true
 	p.mu.Unlock()
 }
 
@@ -284,9 +261,6 @@ func (p *vtPool) setSize(n int) {
 func (p *vtPool) claim(length uint64) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.slots) == 0 {
-		p.slots = append(p.slots, 0)
-	}
 	best := 0
 	for i := 1; i < len(p.slots); i++ {
 		if p.slots[i] < p.slots[best] {
@@ -298,20 +272,13 @@ func (p *vtPool) claim(length uint64) uint64 {
 	return v
 }
 
-// run places a burst of th: it picks an engine, binds the calling OS
+// place places a burst of th: it picks an engine, binds the calling OS
 // thread to it and charges the migration cost if th last ran elsewhere.
 // The returned release ends the burst (same goroutine).  It returns nil
 // when the caller is already bound — a nested kernel entry stays on its
-// engine.
-func (s *sched) run(th *Thread) func() { return s.place(th, nil, 0) }
-
-// runPool places a port-set server burst: like run, but the burst
-// serializes on the earliest-free virtual slot of the set's pool and on
-// the caller's send completion (ready) instead of on th's own clock.
-func (s *sched) runPool(th *Thread, pool *vtPool, ready uint64) func() {
-	return s.place(th, pool, ready)
-}
-
+// engine.  A pool worker's burst (pool non-nil) serializes on the
+// earliest-free virtual slot of the pool and on the caller's send
+// completion at ready instead of on th's own clock.
 func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 	if s.cx.BoundEngine() != nil {
 		return nil
@@ -339,7 +306,7 @@ func (s *sched) place(th *Thread, pool *vtPool, ready uint64) func() {
 	se.dispatches.Add(1)
 	if fr := kflight.For(s.k.CPU); fr != nil {
 		// The Bind above routes this emit's cycle stamp to se's slot.
-		fr.Emit(ktrace.EvSched, "mach.sched", "dispatch:"+th.task.name, uint64(se.slot))
+		fr.Emit(ktrace.EvSched, "mach.sched", th.task.names.dispatch, uint64(se.slot))
 	}
 	return func() {
 		cyc := s.cx.EngineCounters(se.slot).Cycles
@@ -422,17 +389,17 @@ func (k *Kernel) schedRun(th *Thread) func() {
 	if k.sched == nil {
 		return nil
 	}
-	return k.sched.run(th)
+	return k.sched.place(th, nil, 0)
 }
 
-// schedRunPool is schedRun for a port-set server burst: it serializes on
-// the set's virtual server pool and on the caller's send completion at
-// ready, not on th's own clock.
+// schedRunPool is schedRun for a pool worker's server burst: it
+// serializes on the pool's virtual servers and on the caller's send
+// completion at ready, not on th's own clock.
 func (k *Kernel) schedRunPool(th *Thread, pool *vtPool, ready uint64) func() {
 	if k.sched == nil {
 		return nil
 	}
-	return k.sched.runPool(th, pool, ready)
+	return k.sched.place(th, pool, ready)
 }
 
 // schedReady advances th's virtual clock to vt ahead of its next

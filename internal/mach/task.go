@@ -21,6 +21,10 @@ type Task struct {
 	name   string
 	asid   uint64
 
+	// names holds the observation-plane strings derived from name, built
+	// once so no RPC path concatenates strings per call.
+	names *rpcNames
+
 	ports *space
 
 	mu        sync.Mutex
@@ -60,6 +64,7 @@ func (k *Kernel) newTaskLocked(name string) *Task {
 		kernel:  k,
 		id:      k.nextTask,
 		name:    name,
+		names:   newRPCNames(name),
 		asid:    uint64(k.nextTask),
 		ports:   newSpace(),
 		threads: make(map[ThreadID]*Thread),

@@ -26,6 +26,10 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# wposbench is its own module (it replaces repro with this checkout), so
+# the root build never compiles it; vet it so a mach API change that
+# breaks the benchmark fails here.
+(cd wposbench && go vet ./...)
 go test -race ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/...
 
 # Chaos short soak under the race detector: one seed, all six fault kinds,
