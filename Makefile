@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check tables stats profile benchgate smp chaos blackbox tail
+.PHONY: all build test check tables stats profile benchgate bench smp chaos blackbox tail
 
 all: build test
 
@@ -35,6 +35,15 @@ profile:
 # more than 5% above the committed BENCH_baseline.json.
 benchgate:
 	sh scripts/benchgate.sh
+
+# End-to-end benchmark (BENCHMARK.json): one 20-second seeded run of each
+# workload, printing wposbench's determinism and result lines.  Run it on
+# both sides of a change to get the before/after numbers a performance
+# claim cites.
+bench:
+	for w in file-rw file-cached pm-ipc; do \
+		python3 wposbench/run.py --workload $$w --seed 1 --seconds 20 || exit 1; \
+	done
 
 # SMP smoke: boot with 4 engines, run concurrent workloads, and assert
 # nonzero per-engine cycles and migrations through the monitor's RPC.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/drivers"
 	"repro/internal/iosys"
+	"repro/internal/klat"
 	"repro/internal/mach"
 )
 
@@ -54,18 +55,18 @@ func main() {
 		buf := make([]byte, drivers.SectorSize)
 		const warm, N = 10, 100
 		for i := 0; i < warm; i++ {
-			if err := drv.WriteSectors(th, 0, buf); err != nil {
+			if err := drv.WriteSectors(klat.Ctx{}, th, 0, buf); err != nil {
 				log.Fatal(err)
 			}
 		}
 		base := k.CPU.Counters()
 		for i := 0; i < N; i++ {
-			drv.WriteSectors(th, 0, buf)
+			drv.WriteSectors(klat.Ctx{}, th, 0, buf)
 		}
 		wcyc := k.CPU.Counters().Sub(base).Cycles / N
 		base = k.CPU.Counters()
 		for i := 0; i < N; i++ {
-			if _, err := drv.ReadSectors(th, 0, 1); err != nil {
+			if _, err := drv.ReadSectors(klat.Ctx{}, th, 0, 1); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -120,7 +120,7 @@ func New(eng *cpu.Engine, layout *cpu.Layout, inner vfs.BlockDev, cfg Config) *C
 		cfg.HRM.Request("bcache0", "fileserver", nil)
 	}
 	// Pre-register the bcache families: kstat creates families on first
-	// touch, and account() only touches counters that moved, so a freshly
+	// touch, and account(ctx) only touches counters that moved, so a freshly
 	// booted cache would otherwise be invisible to -prom scrapes and
 	// per-family monitor queries until the first hit/miss of each kind.
 	if st := c.stats(); st != nil {
@@ -143,16 +143,29 @@ func (c *Cache) sectorAddr(sector uint64) uint64 {
 
 func (c *Cache) stats() *kstat.Set { return kstat.For(c.eng) }
 
-// ReadSectors implements vfs.BlockDev.  Cached sectors are copied out
+// ReadSectors implements vfs.BlockDev: ReadSectorsCtx outside any
+// request.
+func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
+	return c.ReadSectorsCtx(klat.Ctx{}, sector, buf)
+}
+
+// WriteSectors implements vfs.BlockDev: WriteSectorsCtx outside any
+// request.
+func (c *Cache) WriteSectors(sector uint64, data []byte) error {
+	return c.WriteSectorsCtx(klat.Ctx{}, sector, data)
+}
+
+// ReadSectorsCtx implements vfs.BlockDev.  Cached sectors are copied out
 // without touching the device; contiguous miss runs go to the device in
 // one request, extended by read-ahead when the access continues the last
-// sequential run.
-func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
+// sequential run.  The lock wait, the device reads and the hit/miss
+// counts land in the ledger of the request ctx names.
+func (c *Cache) ReadSectorsCtx(ctx klat.Ctx, sector uint64, buf []byte) error {
 	if len(buf) == 0 || len(buf)%SectorSize != 0 {
-		return c.inner.ReadSectors(sector, buf)
+		return c.inner.ReadSectorsCtx(ctx, sector, buf)
 	}
 	n := uint64(len(buf) / SectorSize)
-	c.lockArm()
+	c.lockArm(ctx)
 	defer c.mu.Unlock()
 	c.eng.Exec(c.op)
 	seq := c.seqValid && sector == c.nextSeq
@@ -189,8 +202,8 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 		if tr != nil && sp.Context().TraceID == 0 {
 			sp = tr.Begin(ktrace.EvCache, "bcache", "miss", ktrace.SpanContext{})
 		}
-		if err := c.inner.ReadSectors(s, tmp); err != nil {
-			c.account(hits, misses+run, raFill, 0)
+		if err := c.inner.ReadSectorsCtx(ctx, s, tmp); err != nil {
+			c.account(ctx, hits, misses+run, raFill, 0)
 			if sp.Context().TraceID != 0 {
 				sp.End()
 			}
@@ -198,7 +211,7 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 		}
 		copy(buf[i*SectorSize:(i+run)*SectorSize], tmp[:run*SectorSize])
 		for j := uint64(0); j < run+extra; j++ {
-			c.insertClean(s+j, tmp[j*SectorSize:(j+1)*SectorSize])
+			c.insertClean(ctx, s+j, tmp[j*SectorSize:(j+1)*SectorSize])
 		}
 		misses += run
 		raFill += extra
@@ -209,23 +222,23 @@ func (c *Cache) ReadSectors(sector uint64, buf []byte) error {
 	} else if tr != nil && hits > 0 {
 		tr.Emit(ktrace.EvCache, "bcache", "hit", ktrace.SpanContext{}, hits)
 	}
-	c.account(hits, misses, raFill, 0)
+	c.account(ctx, hits, misses, raFill, 0)
 	return nil
 }
 
-// WriteSectors implements vfs.BlockDev.  Whole sectors are absorbed into
-// the cache and marked dirty; when the dirty list exceeds its bound the
-// oldest dirty sectors are written behind.  A write-behind failure is
-// returned to the caller and the unwritten sectors stay dirty.
-func (c *Cache) WriteSectors(sector uint64, data []byte) error {
+// WriteSectorsCtx implements vfs.BlockDev.  Whole sectors are absorbed
+// into the cache and marked dirty; when the dirty list exceeds its bound
+// the oldest dirty sectors are written behind.  A write-behind failure
+// is returned to the caller and the unwritten sectors stay dirty.
+func (c *Cache) WriteSectorsCtx(ctx klat.Ctx, sector uint64, data []byte) error {
 	if len(data) == 0 || len(data)%SectorSize != 0 {
 		c.mu.Lock()
-		c.dropRange(sector, uint64((len(data)+SectorSize-1)/SectorSize))
+		c.dropRange(ctx, sector, uint64((len(data)+SectorSize-1)/SectorSize))
 		c.mu.Unlock()
-		return c.inner.WriteSectors(sector, data)
+		return c.inner.WriteSectorsCtx(ctx, sector, data)
 	}
 	n := uint64(len(data) / SectorSize)
-	c.lockArm()
+	c.lockArm(ctx)
 	defer c.mu.Unlock()
 	c.eng.Exec(c.op)
 	for i := uint64(0); i < n; i++ {
@@ -233,9 +246,9 @@ func (c *Cache) WriteSectors(sector uint64, data []byte) error {
 		b := c.blocks[s]
 		if b == nil {
 			var err error
-			b, err = c.newBlock(s)
+			b, err = c.newBlock(ctx, s)
 			if err != nil {
-				c.account(0, 0, 0, 0)
+				c.account(ctx, 0, 0, 0, 0)
 				return err
 			}
 		}
@@ -247,24 +260,27 @@ func (c *Cache) WriteSectors(sector uint64, data []byte) error {
 		}
 		c.lru.MoveToFront(b.elem)
 	}
-	c.account(0, 0, 0, 0)
+	c.account(ctx, 0, 0, 0, 0)
 	if len(c.dirtyQ) > c.dirtyMax {
-		return c.flushLocked(c.dirtyMax)
+		return c.flushLocked(ctx, c.dirtyMax)
 	}
 	return nil
 }
 
-// Sync implements vfs.CachedDev: it writes back every dirty sector.  On
-// error the blocks that could not be written remain dirty so the caller
-// can retry (e.g. after FaultyDev.Heal).
-func (c *Cache) Sync() error {
-	c.lockArm()
+// Sync implements vfs.CachedDev: SyncCtx outside any request.
+func (c *Cache) Sync() error { return c.SyncCtx(klat.Ctx{}) }
+
+// SyncCtx implements vfs.CachedDev: it writes back every dirty sector.
+// On error the blocks that could not be written remain dirty so the
+// caller can retry (e.g. after FaultyDev.Heal).
+func (c *Cache) SyncCtx(ctx klat.Ctx) error {
+	c.lockArm(ctx)
 	defer c.mu.Unlock()
 	if len(c.dirtyQ) == 0 {
 		return nil
 	}
 	c.eng.Exec(c.op)
-	return c.flushLocked(0)
+	return c.flushLocked(ctx, 0)
 }
 
 // Dirty reports the current number of dirty sectors (for tests).
@@ -287,7 +303,7 @@ func (c *Cache) Cached(sector uint64) bool {
 // When the device is batch-capable (vfs.BatchDev — only drivers booted
 // with vectored RPC advertise it) every run of the flush goes down in
 // one vectored driver call instead of one crossing per run.
-func (c *Cache) flushLocked(limit int) error {
+func (c *Cache) flushLocked(ctx klat.Ctx, limit int) error {
 	want := len(c.dirtyQ) - limit
 	if want <= 0 {
 		return nil
@@ -295,7 +311,7 @@ func (c *Cache) flushLocked(limit int) error {
 	victims := append([]uint64(nil), c.dirtyQ[:want]...)
 	sortSectors(victims)
 	if bd, ok := c.inner.(vfs.BatchDev); ok {
-		return c.flushBatched(bd, victims)
+		return c.flushBatched(ctx, bd, victims)
 	}
 	tr := ktrace.For(c.eng)
 	i := 0
@@ -314,7 +330,7 @@ func (c *Cache) flushLocked(limit int) error {
 		if tr != nil {
 			sp = tr.Begin(ktrace.EvCache, "bcache", "writeback", ktrace.SpanContext{})
 		}
-		err := c.inner.WriteSectors(victims[i], out)
+		err := c.inner.WriteSectorsCtx(ctx, victims[i], out)
 		if tr != nil {
 			sp.End()
 		}
@@ -325,7 +341,7 @@ func (c *Cache) flushLocked(limit int) error {
 			c.blocks[victims[i+j]].dirty = false
 		}
 		c.removeFromDirtyQ(victims[i : i+run])
-		c.account(0, 0, 0, uint64(run))
+		c.account(ctx, 0, 0, 0, uint64(run))
 		i += run
 	}
 	return nil
@@ -336,7 +352,7 @@ func (c *Cache) flushLocked(limit int) error {
 // per-sector copy-out charges); the driver reports how many runs
 // landed before the first error, and only those are un-dirtied, so a
 // failed flush retries precisely the unwritten runs.
-func (c *Cache) flushBatched(bd vfs.BatchDev, victims []uint64) error {
+func (c *Cache) flushBatched(ctx klat.Ctx, bd vfs.BatchDev, victims []uint64) error {
 	var runs []vfs.SectorRun
 	var bounds [][2]int // victim index range of each run
 	i := 0
@@ -359,7 +375,7 @@ func (c *Cache) flushBatched(bd vfs.BatchDev, victims []uint64) error {
 	if tr := ktrace.For(c.eng); tr != nil {
 		sp = tr.Begin(ktrace.EvCache, "bcache", "writeback_v", ktrace.SpanContext{})
 	}
-	done, err := bd.WriteSectorsV(runs)
+	done, err := bd.WriteSectorsVCtx(ctx, runs)
 	if sp.Context().TraceID != 0 {
 		sp.End()
 	}
@@ -372,16 +388,16 @@ func (c *Cache) flushBatched(bd vfs.BatchDev, victims []uint64) error {
 			c.blocks[victims[j]].dirty = false
 		}
 		c.removeFromDirtyQ(victims[lo:hi])
-		c.account(0, 0, 0, uint64(hi-lo))
+		c.account(ctx, 0, 0, 0, uint64(hi-lo))
 	}
 	return err
 }
 
 // newBlock allocates (or reclaims) a block for sector s and links it into
 // the map and LRU.  It may have to write back a dirty victim.
-func (c *Cache) newBlock(s uint64) (*block, error) {
+func (c *Cache) newBlock(ctx klat.Ctx, s uint64) (*block, error) {
 	for len(c.blocks) >= c.cap {
-		if err := c.evictOne(); err != nil {
+		if err := c.evictOne(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -394,7 +410,7 @@ func (c *Cache) newBlock(s uint64) (*block, error) {
 // insertClean caches freshly read device data for sector s.  Eviction
 // errors while making room are ignored: failing to cache a read is not a
 // read failure (the caller already has the data).
-func (c *Cache) insertClean(s uint64, data []byte) {
+func (c *Cache) insertClean(ctx klat.Ctx, s uint64, data []byte) {
 	if b := c.blocks[s]; b != nil {
 		if !b.dirty {
 			copy(b.data, data)
@@ -402,7 +418,7 @@ func (c *Cache) insertClean(s uint64, data []byte) {
 		c.lru.MoveToFront(b.elem)
 		return
 	}
-	b, err := c.newBlock(s)
+	b, err := c.newBlock(ctx, s)
 	if err != nil {
 		return
 	}
@@ -412,7 +428,7 @@ func (c *Cache) insertClean(s uint64, data []byte) {
 
 // evictOne drops the least-recently-used clean block; if every block is
 // dirty it writes back the LRU one first.
-func (c *Cache) evictOne() error {
+func (c *Cache) evictOne(ctx klat.Ctx) error {
 	var victim *block
 	for e := c.lru.Back(); e != nil; e = e.Prev() {
 		b := e.Value.(*block)
@@ -427,12 +443,12 @@ func (c *Cache) evictOne() error {
 			return nil
 		}
 		b := e.Value.(*block)
-		if err := c.inner.WriteSectors(b.sector, b.data); err != nil {
+		if err := c.inner.WriteSectorsCtx(ctx, b.sector, b.data); err != nil {
 			return err
 		}
 		b.dirty = false
 		c.removeFromDirtyQ([]uint64{b.sector})
-		c.account(0, 0, 0, 1)
+		c.account(ctx, 0, 0, 0, 1)
 		victim = b
 	}
 	c.lru.Remove(victim.elem)
@@ -442,7 +458,7 @@ func (c *Cache) evictOne() error {
 
 // dropRange invalidates cached sectors in [sector, sector+n) — used when
 // an unaligned write bypasses the cache so stale data cannot be served.
-func (c *Cache) dropRange(sector, n uint64) {
+func (c *Cache) dropRange(ctx klat.Ctx, sector, n uint64) {
 	dropped := false
 	for i := uint64(0); i < n; i++ {
 		if b := c.blocks[sector+i]; b != nil {
@@ -458,7 +474,7 @@ func (c *Cache) dropRange(sector, n uint64) {
 		// Dirty sectors left the write-behind list without a writeback;
 		// refresh the bcache.dirty gauge or it reads stale-high until the
 		// next cached operation happens to account.
-		c.account(0, 0, 0, 0)
+		c.account(ctx, 0, 0, 0, 0)
 	}
 }
 
@@ -482,27 +498,21 @@ func (c *Cache) removeFromDirtyQ(sectors []uint64) {
 // threads in flight, waiting here IS queueing on the single disk arm —
 // the mark names those cycles in a request's latency ledger instead of
 // letting them hide inside the file server's service time.
-func (c *Cache) lockArm() {
-	if lt := klat.For(c.eng); lt != nil {
-		end := lt.MarkBegin("bcache-lock")
-		c.mu.Lock()
-		end()
-		return
-	}
+func (c *Cache) lockArm(ctx klat.Ctx) {
+	m := ctx.MarkBegin(klat.WaitBcacheLock)
 	c.mu.Lock()
+	m.End()
 }
 
 // account records the op's observation-only metrics.  It never charges
 // the engine; with kstat detached it only refreshes nothing.
-func (c *Cache) account(hits, misses, ra, wb uint64) {
-	// Exemplar annotations: the counts ride on the current request's
-	// ledger so a p99 drill-down shows whether the hop missed or hit.
-	if lt := klat.For(c.eng); lt != nil {
-		lt.Note("bcache.hit", hits)
-		lt.Note("bcache.miss", misses)
-		lt.Note("bcache.readahead", ra)
-		lt.Note("bcache.writeback", wb)
-	}
+func (c *Cache) account(ctx klat.Ctx, hits, misses, ra, wb uint64) {
+	// Exemplar annotations: the counts ride on the request's ledger so
+	// a p99 drill-down shows whether the hop missed or hit.
+	ctx.Note(klat.NoteBcacheHit, hits)
+	ctx.Note(klat.NoteBcacheMiss, misses)
+	ctx.Note(klat.NoteBcacheReadahead, ra)
+	ctx.Note(klat.NoteBcacheWriteback, wb)
 	// One flight event per outcome class keeps the ring coarse: a
 	// postmortem wants "the cache was missing right before the stall",
 	// not a per-sector ledger (kstat holds the exact counts).

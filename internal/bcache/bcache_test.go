@@ -7,7 +7,10 @@ import (
 
 	"repro/internal/bcache"
 	"repro/internal/cpu"
+	"repro/internal/kflight"
+	"repro/internal/klat"
 	"repro/internal/kstat"
+	"repro/internal/race"
 	"repro/internal/vfs"
 )
 
@@ -346,10 +349,15 @@ func TestFlushFailHealRetryAccountsWritebackOnce(t *testing.T) {
 // looseDev accepts partial-sector writes the way a real driver does —
 // read-modify-write on the trailing sector — so tests can exercise the
 // cache's unaligned bypass path over a RAMDisk (which itself insists on
-// whole sectors).
+// whole sectors).  The cache writes through the context-carrying form,
+// so that is the one overridden; the plain form delegates to it.
 type looseDev struct{ *vfs.RAMDisk }
 
 func (d looseDev) WriteSectors(sector uint64, data []byte) error {
+	return d.WriteSectorsCtx(klat.Ctx{}, sector, data)
+}
+
+func (d looseDev) WriteSectorsCtx(_ klat.Ctx, sector uint64, data []byte) error {
 	n := len(data) / ss
 	if len(data)%ss == 0 {
 		return d.RAMDisk.WriteSectors(sector, data)
@@ -409,5 +417,45 @@ func TestUnalignedWriteRefreshesDirtyGauge(t *testing.T) {
 	}
 	if !bytes.Equal(got, sectorData('z')) {
 		t.Fatal("unaligned write did not reach the device")
+	}
+}
+
+// TestHitAllocsPlanesOn: a cache hit served for a traced request — with
+// the boot-default planes attached, the lock-wait mark and the hit note
+// landing on the request's hop — allocates no more than the same hit on
+// a bare engine.  The observation hooks are fixed-slot adds and by-value
+// events, never heap objects.
+func TestHitAllocsPlanesOn(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	hit := func(planes bool) float64 {
+		c, eng := newCache(t, vfs.NewRAMDisk(256), bcache.Config{CapacitySectors: 64, ReadAhead: -1})
+		var ctx klat.Ctx
+		if planes {
+			kstat.Attach(eng)
+			kflight.Attach(eng)
+			lt := klat.Attach(eng)
+			defer func() {
+				klat.Detach(eng)
+				kflight.Detach(eng)
+				kstat.Detach(eng)
+			}()
+			ctx = lt.Begin(klat.Ctx{}, "fileserver", 0x0f02, 0).Ctx()
+		}
+		buf := make([]byte, ss)
+		if err := c.ReadSectorsCtx(ctx, 3, buf); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if err := c.ReadSectorsCtx(ctx, 3, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare, observed := hit(false), hit(true)
+	t.Logf("cache hit: %.0f allocs bare, %.0f with planes", bare, observed)
+	if observed > bare {
+		t.Fatalf("planes-on hit allocates %.1f objects, bare %.1f", observed, bare)
 	}
 }

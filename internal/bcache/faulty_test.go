@@ -8,6 +8,7 @@ import (
 	"repro/internal/bcache"
 	"repro/internal/cpu"
 	"repro/internal/fat"
+	"repro/internal/klat"
 	"repro/internal/mach"
 	"repro/internal/vfs"
 )
@@ -79,12 +80,12 @@ func TestCloseSurfacesWriteBehindError(t *testing.T) {
 	if err := check.Mount(inner); err != nil {
 		t.Fatal(err)
 	}
-	vn, err := check.Root().Lookup("DATA.BIN")
+	vn, err := check.Root().Lookup(klat.Ctx{}, "DATA.BIN")
 	if err != nil {
 		t.Fatalf("DATA.BIN not durable after retry: %v", err)
 	}
 	got := make([]byte, len(payload))
-	if n, err := vn.ReadAt(got, 0); err != nil || n != len(got) || !bytes.Equal(got, payload) {
+	if n, err := vn.ReadAt(klat.Ctx{}, got, 0); err != nil || n != len(got) || !bytes.Equal(got, payload) {
 		t.Fatalf("DATA.BIN contents wrong after retry: n=%d err=%v", n, err)
 	}
 }

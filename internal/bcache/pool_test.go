@@ -9,6 +9,7 @@ import (
 	"repro/internal/bcache"
 	"repro/internal/cpu"
 	"repro/internal/fat"
+	"repro/internal/klat"
 	"repro/internal/mach"
 	"repro/internal/vfs"
 )
@@ -104,12 +105,12 @@ func TestPooledServerCacheCorrectness(t *testing.T) {
 		t.Fatalf("verification mount: %v", err)
 	}
 	for c := 0; c < clients; c++ {
-		vn, err := check.Root().Lookup(fmt.Sprintf("C%d.DAT", c))
+		vn, err := check.Root().Lookup(klat.Ctx{}, fmt.Sprintf("C%d.DAT", c))
 		if err != nil {
 			t.Fatalf("file C%d.DAT not durable on the raw device: %v", c, err)
 		}
 		got := make([]byte, len(payloads[c]))
-		if n, err := vn.ReadAt(got, 0); err != nil || n != len(got) {
+		if n, err := vn.ReadAt(klat.Ctx{}, got, 0); err != nil || n != len(got) {
 			t.Fatalf("C%d.DAT raw read: n=%d %v", c, n, err)
 		}
 		if !bytes.Equal(got, payloads[c]) {

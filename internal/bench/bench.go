@@ -14,6 +14,7 @@ import (
 	"repro/internal/hpfs"
 	"repro/internal/iosys"
 	"repro/internal/jfs"
+	"repro/internal/klat"
 	"repro/internal/mach"
 	"repro/internal/mvm"
 	"repro/internal/names"
@@ -468,13 +469,13 @@ func DriverModels() ([]DriverResult, error) {
 		buf := make([]byte, drivers.SectorSize)
 		const warm, N = 10, 100
 		for i := 0; i < warm; i++ {
-			if err := d.WriteSectors(th, 0, buf); err != nil {
+			if err := d.WriteSectors(klat.Ctx{}, th, 0, buf); err != nil {
 				return DriverResult{}, err
 			}
 		}
 		base := k.CPU.Counters()
 		for i := 0; i < N; i++ {
-			d.WriteSectors(th, 0, buf)
+			d.WriteSectors(klat.Ctx{}, th, 0, buf)
 		}
 		return DriverResult{Model: d.Model(), Cycles: k.CPU.Counters().Sub(base).Cycles / N}, nil
 	}
@@ -602,13 +603,13 @@ func FSPersonality() ([]FSResult, error) {
 			return nil, err
 		}
 		r := FSResult{FS: name, CaseSensitive: fsys.Caps().CaseSensitive}
-		_, lerr := d.Open(vfs.ProfileTalOS, "/A Long Descriptive Name.doc", true, true)
+		_, lerr := d.Open(klat.Ctx{}, vfs.ProfileTalOS, "/A Long Descriptive Name.doc", true, true)
 		r.LongNameOK = lerr == nil
-		if fd, err := d.Open(vfs.ProfileOS2, "/E.DAT", true, true); err == nil {
-			d.WriteAt(fd, make([]byte, 512), 0)
+		if fd, err := d.Open(klat.Ctx{}, vfs.ProfileOS2, "/E.DAT", true, true); err == nil {
+			d.WriteAt(klat.Ctx{}, fd, make([]byte, 512), 0)
 			d.Close(fd)
 		}
-		r.EAOK = d.SetEA(vfs.ProfileOS2, "/E.DAT", ".TYPE", "text") == nil
+		r.EAOK = d.SetEA(klat.Ctx{}, vfs.ProfileOS2, "/E.DAT", ".TYPE", "text") == nil
 		out = append(out, r)
 	}
 	return out, nil

@@ -270,44 +270,61 @@ func (c *cache) flush() {
 	}
 }
 
-// tlb is a fully-associative LRU TLB over pages.
+// tlb is a fully-associative LRU TLB over pages.  Resident pages live in
+// a slot array with their LRU stamps beside them; the map only finds a
+// page's slot, so a hit is one lookup and a stamp store.  Stamps are
+// unique (one tick per access), so the victim — the slot with the
+// smallest stamp — is the same page whatever order the slots are in.
 type tlb struct {
-	entries  int
+	slot   map[uint64]int // page -> index into pages/stamps
+	pages  []uint64
+	stamps []uint64
+	used   int
+
 	pageSize uint64
-	pages    map[uint64]uint64 // page -> stamp
 	tick     uint64
 }
 
 func newTLB(entries int, pageSize uint64) *tlb {
-	return &tlb{entries: entries, pageSize: pageSize, pages: make(map[uint64]uint64, entries)}
+	if entries < 1 {
+		entries = 1 // a TLB holds at least the page being touched
+	}
+	return &tlb{
+		slot:     make(map[uint64]int, entries),
+		pages:    make([]uint64, entries),
+		stamps:   make([]uint64, entries),
+		pageSize: pageSize,
+	}
 }
 
 func (t *tlb) access(addr uint64) bool {
 	page := addr / t.pageSize
 	t.tick++
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.tick
+	if i, ok := t.slot[page]; ok {
+		t.stamps[i] = t.tick
 		return true
 	}
-	if len(t.pages) >= t.entries {
-		var victim uint64
-		var oldest uint64 = ^uint64(0)
-		for p, stamp := range t.pages {
-			if stamp < oldest {
-				oldest = stamp
-				victim = p
+	i := t.used
+	if i < len(t.pages) {
+		t.used++
+	} else {
+		i = 0
+		for j, stamp := range t.stamps {
+			if stamp < t.stamps[i] {
+				i = j
 			}
 		}
-		delete(t.pages, victim)
+		delete(t.slot, t.pages[i])
 	}
-	t.pages[page] = t.tick
+	t.slot[page] = i
+	t.pages[i] = page
+	t.stamps[i] = t.tick
 	return false
 }
 
 func (t *tlb) flush() {
-	for p := range t.pages {
-		delete(t.pages, p)
-	}
+	clear(t.slot)
+	t.used = 0
 }
 
 // Engine is one simulated processor.  All methods are safe for concurrent

@@ -60,6 +60,55 @@ func TestTLBLRU(t *testing.T) {
 	}
 }
 
+// refTLB is the reference LRU model: a page -> stamp map whose victim is
+// the page with the smallest stamp.
+type refTLB struct {
+	entries int
+	pages   map[uint64]uint64
+	tick    uint64
+}
+
+func (r *refTLB) access(page uint64) bool {
+	r.tick++
+	if _, ok := r.pages[page]; ok {
+		r.pages[page] = r.tick
+		return true
+	}
+	if len(r.pages) >= r.entries {
+		victim, oldest := uint64(0), ^uint64(0)
+		for p, stamp := range r.pages {
+			if stamp < oldest {
+				victim, oldest = p, stamp
+			}
+		}
+		delete(r.pages, victim)
+	}
+	r.pages[page] = r.tick
+	return false
+}
+
+// TestTLBMatchesReferenceLRU: the slot-array TLB hits and misses exactly
+// where the reference LRU model does, across capacity pressure and
+// flushes — the modeled TLB-miss count cannot move.
+func TestTLBMatchesReferenceLRU(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, entries := range []int{1, 2, 8, 64} {
+		tb := newTLB(entries, 4096)
+		ref := &refTLB{entries: entries, pages: make(map[uint64]uint64)}
+		for i := 0; i < 20000; i++ {
+			if rng.Intn(500) == 0 {
+				tb.flush()
+				ref.pages = make(map[uint64]uint64)
+				continue
+			}
+			page := uint64(rng.Intn(3 * entries))
+			if got, want := tb.access(page*4096+uint64(rng.Intn(4096))), ref.access(page); got != want {
+				t.Fatalf("entries=%d access %d (page %d): hit=%v, reference %v", entries, i, page, got, want)
+			}
+		}
+	}
+}
+
 func TestLayoutNonOverlapping(t *testing.T) {
 	l := NewLayout(0x100000)
 	a := l.Place("a", 100)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/iosys"
+	"repro/internal/klat"
 	"repro/internal/kstat"
 	"repro/internal/ktrace"
 	"repro/internal/mach"
@@ -14,26 +15,47 @@ import (
 	"repro/internal/vfs"
 )
 
-// traceIO opens a driver-I/O span when tracing is attached to the engine.
-// The zero Span returned when tracing is off makes End a no-op.
-func traceIO(k *mach.Kernel, name string) ktrace.Span {
+// ioOp names one driver operation: its span name and its kstat count
+// family (drivers.io.<name>), built once so an I/O concatenates nothing.
+type ioOp struct{ name, family string }
+
+func newIOOp(name string) ioOp { return ioOp{name: name, family: "drivers.io." + name} }
+
+// The traced driver operations, per architecture.
+var (
+	ioBSDRead    = newIOOp("bsd:read")
+	ioBSDWrite   = newIOOp("bsd:write")
+	ioUserHandle = newIOOp("udrv:handle")
+	ioUserRead   = newIOOp("udrv:read")
+	ioUserWrite  = newIOOp("udrv:write")
+	ioUserWriteV = newIOOp("udrv:writev")
+	ioOODDMRead  = newIOOp("ooddm:read")
+	ioOODDMWrite = newIOOp("ooddm:write")
+)
+
+// traceIO counts one driver operation and opens its span when tracing is
+// attached to the engine.  The zero Span returned when tracing is off
+// makes End a no-op.
+func traceIO(k *mach.Kernel, op *ioOp) ktrace.Span {
 	if st := kstat.For(k.CPU); st != nil {
-		st.Counter("drivers.io." + name).Inc()
+		st.Counter(op.family).Inc()
 	}
 	if t := ktrace.For(k.CPU); t != nil {
-		return t.Begin(ktrace.EvDriverIO, "drivers", name, ktrace.SpanContext{})
+		return t.Begin(ktrace.EvDriverIO, "drivers", op.name, ktrace.SpanContext{})
 	}
 	return ktrace.Span{}
 }
 
 // BlockDriver is the common interface of the three driver architectures.
 // The caller thread is explicit because the user-level model performs an
-// RPC on the caller's behalf.
+// RPC on the caller's behalf; so is the request context, because the
+// caller thread is typically shared (the file server's disk thread) and
+// the I/O must land in the ledger of the request that caused it.
 type BlockDriver interface {
 	// ReadSectors reads count sectors starting at sector.
-	ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error)
+	ReadSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, count int) ([]byte, error)
 	// WriteSectors writes data (whole sectors) starting at sector.
-	WriteSectors(caller *mach.Thread, sector uint64, data []byte) error
+	WriteSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, data []byte) error
 	// Model names the driver architecture.
 	Model() string
 }
@@ -69,23 +91,23 @@ func NewKernelBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, intr *
 }
 
 // ReadSectors implements BlockDriver.
-func (d *KernelBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	sp := traceIO(d.k, "bsd:read")
+func (d *KernelBlockDriver) ReadSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, count int) ([]byte, error) {
+	sp := traceIO(d.k, &ioBSDRead)
 	defer sp.End()
 	d.k.Trap(d.path)
 	buf := make([]byte, count*SectorSize)
-	if err := d.disk.ReadSectors(sector, buf); err != nil {
+	if err := d.disk.ReadSectorsCtx(ctx, sector, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
 // WriteSectors implements BlockDriver.
-func (d *KernelBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	sp := traceIO(d.k, "bsd:write")
+func (d *KernelBlockDriver) WriteSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, data []byte) error {
+	sp := traceIO(d.k, &ioBSDWrite)
 	defer sp.End()
 	d.k.Trap(d.path)
-	return d.disk.WriteSectors(sector, data)
+	return d.disk.WriteSectorsCtx(ctx, sector, data)
 }
 
 // Model implements BlockDriver.
@@ -185,7 +207,8 @@ func NewUserBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, hrm *ios
 }
 
 func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
-	sp := traceIO(d.k, "udrv:handle")
+	ctx := req.Context()
+	sp := traceIO(d.k, &ioUserHandle)
 	defer sp.End()
 	d.k.CPU.Exec(d.path)
 	switch req.ID {
@@ -193,7 +216,7 @@ func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
 		sector := beU64(req.Body[0:8])
 		count := int(beU64(req.Body[8:16]))
 		buf := make([]byte, count*SectorSize)
-		if err := d.disk.ReadSectors(sector, buf); err != nil {
+		if err := d.disk.ReadSectorsCtx(ctx, sector, buf); err != nil {
 			return &mach.Message{ID: 1, Body: []byte(err.Error())}
 		}
 		if d.zeroCopy && len(buf) >= mach.PageSize {
@@ -202,7 +225,7 @@ func (d *UserBlockDriver) handle(req *mach.Message) *mach.Message {
 		return &mach.Message{ID: 0, OOL: buf}
 	case msgWrite:
 		sector := beU64(req.Body[0:8])
-		if err := d.disk.WriteSectors(sector, payload(req)); err != nil {
+		if err := d.disk.WriteSectorsCtx(ctx, sector, payload(req)); err != nil {
 			return &mach.Message{ID: 1, Body: []byte(err.Error())}
 		}
 		return &mach.Message{ID: 0}
@@ -231,8 +254,8 @@ func (d *UserBlockDriver) portFor(caller *mach.Thread) (mach.PortName, error) {
 }
 
 // ReadSectors implements BlockDriver via RPC to the driver task.
-func (d *UserBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	sp := traceIO(d.k, "udrv:read")
+func (d *UserBlockDriver) ReadSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, count int) ([]byte, error) {
+	sp := traceIO(d.k, &ioUserRead)
 	defer sp.End()
 	n, err := d.portFor(caller)
 	if err != nil {
@@ -241,7 +264,7 @@ func (d *UserBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count 
 	body := make([]byte, 16)
 	putU64(body[0:8], sector)
 	putU64(body[8:16], uint64(count))
-	reply, err := caller.Call(n, &mach.Message{ID: msgRead, Body: body}, mach.CallOpts{})
+	reply, err := caller.Call(n, &mach.Message{ID: msgRead, Body: body}, mach.CallOpts{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -267,14 +290,14 @@ func (d *UserBlockDriver) writeMsg(sector uint64, data []byte) *mach.Message {
 }
 
 // WriteSectors implements BlockDriver via RPC to the driver task.
-func (d *UserBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	sp := traceIO(d.k, "udrv:write")
+func (d *UserBlockDriver) WriteSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, data []byte) error {
+	sp := traceIO(d.k, &ioUserWrite)
 	defer sp.End()
 	n, err := d.portFor(caller)
 	if err != nil {
 		return err
 	}
-	reply, err := caller.Call(n, d.writeMsg(sector, data), mach.CallOpts{})
+	reply, err := caller.Call(n, d.writeMsg(sector, data), mach.CallOpts{Ctx: ctx})
 	if err != nil {
 		return err
 	}
@@ -291,19 +314,19 @@ func (d *UserBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data 
 // reports how many runs were committed before the first error, so the
 // buffer cache keeps exactly the unwritten runs dirty for retry.
 // Without batch negotiated it degrades to one RPC per run.
-func (d *UserBlockDriver) WriteSectorsV(caller *mach.Thread, runs []vfs.SectorRun) (int, error) {
+func (d *UserBlockDriver) WriteSectorsV(ctx klat.Ctx, caller *mach.Thread, runs []vfs.SectorRun) (int, error) {
 	if len(runs) == 0 {
 		return 0, nil
 	}
 	if !d.batch {
 		for i, r := range runs {
-			if err := d.WriteSectors(caller, r.Sector, r.Data); err != nil {
+			if err := d.WriteSectors(ctx, caller, r.Sector, r.Data); err != nil {
 				return i, err
 			}
 		}
 		return len(runs), nil
 	}
-	sp := traceIO(d.k, "udrv:writev")
+	sp := traceIO(d.k, &ioUserWriteV)
 	defer sp.End()
 	n, err := d.portFor(caller)
 	if err != nil {
@@ -313,7 +336,7 @@ func (d *UserBlockDriver) WriteSectorsV(caller *mach.Thread, runs []vfs.SectorRu
 	for i, r := range runs {
 		reqs[i] = d.writeMsg(r.Sector, r.Data)
 	}
-	replies, err := caller.CallV(n, reqs, mach.CallOpts{})
+	replies, err := caller.CallV(n, reqs, mach.CallOpts{Ctx: ctx})
 	if err != nil {
 		return 0, err
 	}
@@ -389,29 +412,29 @@ func NewOODDMBlockDriver(k *mach.Kernel, layout *cpu.Layout, disk *Disk, intr *i
 }
 
 // ReadSectors implements BlockDriver via the object chain.
-func (d *OODDMBlockDriver) ReadSectors(caller *mach.Thread, sector uint64, count int) ([]byte, error) {
-	sp := traceIO(d.k, "ooddm:read")
+func (d *OODDMBlockDriver) ReadSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, count int) ([]byte, error) {
+	sp := traceIO(d.k, &ioOODDMRead)
 	defer sp.End()
 	d.k.Trap(cpu.Region{})
 	if err := d.h.InvokeChain(d.obj, d.chain); err != nil {
 		return nil, err
 	}
 	buf := make([]byte, count*SectorSize)
-	if err := d.disk.ReadSectors(sector, buf); err != nil {
+	if err := d.disk.ReadSectorsCtx(ctx, sector, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
 // WriteSectors implements BlockDriver via the object chain.
-func (d *OODDMBlockDriver) WriteSectors(caller *mach.Thread, sector uint64, data []byte) error {
-	sp := traceIO(d.k, "ooddm:write")
+func (d *OODDMBlockDriver) WriteSectors(ctx klat.Ctx, caller *mach.Thread, sector uint64, data []byte) error {
+	sp := traceIO(d.k, &ioOODDMWrite)
 	defer sp.End()
 	d.k.Trap(cpu.Region{})
 	if err := d.h.InvokeChain(d.obj, d.chain); err != nil {
 		return err
 	}
-	return d.disk.WriteSectors(sector, data)
+	return d.disk.WriteSectorsCtx(ctx, sector, data)
 }
 
 // Model implements BlockDriver.

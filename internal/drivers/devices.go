@@ -76,9 +76,20 @@ func (d *Disk) Sectors() uint64 { return uint64(len(d.sectors)) }
 // Vector reports the completion interrupt vector.
 func (d *Disk) Vector() int { return d.vector }
 
-// ReadSectors fills buf (a whole number of sectors) starting at sector,
-// charging seek, DMA and raising the completion interrupt.
+// ReadSectors is ReadSectorsCtx outside any request.
 func (d *Disk) ReadSectors(sector uint64, buf []byte) error {
+	return d.ReadSectorsCtx(klat.Ctx{}, sector, buf)
+}
+
+// WriteSectors is WriteSectorsCtx outside any request.
+func (d *Disk) WriteSectors(sector uint64, data []byte) error {
+	return d.WriteSectorsCtx(klat.Ctx{}, sector, data)
+}
+
+// ReadSectorsCtx fills buf (a whole number of sectors) starting at
+// sector, charging seek, DMA and raising the completion interrupt; time
+// queued behind the arm lands in the ledger of the request ctx names.
+func (d *Disk) ReadSectorsCtx(ctx klat.Ctx, sector uint64, buf []byte) error {
 	if len(buf)%SectorSize != 0 {
 		return ErrBadSize
 	}
@@ -91,7 +102,7 @@ func (d *Disk) ReadSectors(sector uint64, buf []byte) error {
 	}
 	defer sp.End()
 	n := uint64(len(buf) / SectorSize)
-	d.lockArm()
+	d.lockArm(ctx)
 	if sector+n > uint64(len(d.sectors)) {
 		d.mu.Unlock()
 		return ErrBadSector
@@ -119,8 +130,8 @@ func (d *Disk) ReadSectors(sector uint64, buf []byte) error {
 	return d.intr.Raise(d.vector)
 }
 
-// WriteSectors stores data (a whole number of sectors) at sector.
-func (d *Disk) WriteSectors(sector uint64, data []byte) error {
+// WriteSectorsCtx stores data (a whole number of sectors) at sector.
+func (d *Disk) WriteSectorsCtx(ctx klat.Ctx, sector uint64, data []byte) error {
 	if len(data)%SectorSize != 0 {
 		return ErrBadSize
 	}
@@ -130,7 +141,7 @@ func (d *Disk) WriteSectors(sector uint64, data []byte) error {
 	}
 	defer sp.End()
 	n := uint64(len(data) / SectorSize)
-	d.lockArm()
+	d.lockArm(ctx)
 	if sector+n > uint64(len(d.sectors)) {
 		d.mu.Unlock()
 		return ErrBadSector
@@ -154,14 +165,10 @@ func (d *Disk) WriteSectors(sector uint64, data []byte) error {
 // head, seeks are serialized on it, and a request's latency ledger
 // should name time spent behind a competitor's seek as arm queueing
 // rather than fold it into driver service.
-func (d *Disk) lockArm() {
-	if lt := klat.For(d.eng); lt != nil {
-		end := lt.MarkBegin("disk-arm")
-		d.mu.Lock()
-		end()
-		return
-	}
+func (d *Disk) lockArm(ctx klat.Ctx) {
+	m := ctx.MarkBegin(klat.WaitDiskArm)
 	d.mu.Lock()
+	m.End()
 }
 
 // Counts reports sectors read and written.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/iosys"
+	"repro/internal/klat"
 	"repro/internal/mach"
 )
 
@@ -187,10 +188,10 @@ func TestAllDriverModelsMoveData(t *testing.T) {
 		t.Run(model, func(t *testing.T) {
 			_, d, th := driverFixture(t, model)
 			data := bytes.Repeat([]byte{0xC3}, SectorSize)
-			if err := d.WriteSectors(th, 7, data); err != nil {
+			if err := d.WriteSectors(klat.Ctx{}, th, 7, data); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			got, err := d.ReadSectors(th, 7, 1)
+			got, err := d.ReadSectors(klat.Ctx{}, th, 7, 1)
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}
@@ -213,12 +214,12 @@ func TestDriverModelCostOrdering(t *testing.T) {
 		r, d, th := driverFixture(t, model)
 		buf := make([]byte, SectorSize)
 		for i := 0; i < 10; i++ { // warm
-			d.WriteSectors(th, 0, buf)
+			d.WriteSectors(klat.Ctx{}, th, 0, buf)
 		}
 		const N = 50
 		base := r.k.CPU.Counters()
 		for i := 0; i < N; i++ {
-			d.WriteSectors(th, 0, buf)
+			d.WriteSectors(klat.Ctx{}, th, 0, buf)
 		}
 		return r.k.CPU.Counters().Sub(base).Cycles / N
 	}
@@ -235,11 +236,11 @@ func TestUserDriverDeadTask(t *testing.T) {
 	r, d, th := driverFixture(t, "user")
 	ud := d.(*UserBlockDriver)
 	_ = r
-	if err := d.WriteSectors(th, 0, make([]byte, SectorSize)); err != nil {
+	if err := d.WriteSectors(klat.Ctx{}, th, 0, make([]byte, SectorSize)); err != nil {
 		t.Fatalf("warm write: %v", err)
 	}
 	ud.Task().Terminate()
-	if err := d.WriteSectors(th, 0, make([]byte, SectorSize)); err == nil {
+	if err := d.WriteSectors(klat.Ctx{}, th, 0, make([]byte, SectorSize)); err == nil {
 		t.Fatal("write to dead driver should fail")
 	}
 }
@@ -269,13 +270,13 @@ func TestPropertyDriverConsistency(t *testing.T) {
 			sector := uint64(op % 64)
 			val := byte(op>>8) | 1
 			data := bytes.Repeat([]byte{val}, SectorSize)
-			if err := d.WriteSectors(th, sector, data); err != nil {
+			if err := d.WriteSectors(klat.Ctx{}, th, sector, data); err != nil {
 				return false
 			}
 			want[sector] = val
 		}
 		for sector, val := range want {
-			got, err := d.ReadSectors(th, sector, 1)
+			got, err := d.ReadSectors(klat.Ctx{}, th, sector, 1)
 			if err != nil || got[0] != val || got[SectorSize-1] != val {
 				return false
 			}

@@ -1,13 +1,16 @@
 package drivers
 
 import (
+	"repro/internal/klat"
 	"repro/internal/mach"
 	"repro/internal/vfs"
 )
 
 // SectorDev adapts a BlockDriver (whose operations need a calling
 // thread) to the thread-less sector-device interface the file systems
-// and the buffer cache consume (vfs.BlockDev).
+// and the buffer cache consume (vfs.BlockDev).  The bound thread is
+// shared by every request the device serves, so each operation's
+// request context travels with the operation, not with the thread.
 type SectorDev struct {
 	drv     BlockDriver
 	th      *mach.Thread
@@ -21,7 +24,17 @@ func NewSectorDev(drv BlockDriver, th *mach.Thread, sectors uint64) *SectorDev {
 
 // ReadSectors reads len(buf)/SectorSize sectors starting at sector.
 func (d *SectorDev) ReadSectors(sector uint64, buf []byte) error {
-	b, err := d.drv.ReadSectors(d.th, sector, len(buf)/SectorSize)
+	return d.ReadSectorsCtx(klat.Ctx{}, sector, buf)
+}
+
+// WriteSectors writes data (whole sectors) starting at sector.
+func (d *SectorDev) WriteSectors(sector uint64, data []byte) error {
+	return d.WriteSectorsCtx(klat.Ctx{}, sector, data)
+}
+
+// ReadSectorsCtx is ReadSectors on behalf of the request ctx names.
+func (d *SectorDev) ReadSectorsCtx(ctx klat.Ctx, sector uint64, buf []byte) error {
+	b, err := d.drv.ReadSectors(ctx, d.th, sector, len(buf)/SectorSize)
 	if err != nil {
 		return err
 	}
@@ -29,9 +42,9 @@ func (d *SectorDev) ReadSectors(sector uint64, buf []byte) error {
 	return nil
 }
 
-// WriteSectors writes data (whole sectors) starting at sector.
-func (d *SectorDev) WriteSectors(sector uint64, data []byte) error {
-	return d.drv.WriteSectors(d.th, sector, data)
+// WriteSectorsCtx is WriteSectors on behalf of the request ctx names.
+func (d *SectorDev) WriteSectorsCtx(ctx klat.Ctx, sector uint64, data []byte) error {
+	return d.drv.WriteSectors(ctx, d.th, sector, data)
 }
 
 // Sectors returns the device size.
@@ -41,7 +54,7 @@ func (d *SectorDev) Sectors() uint64 { return d.sectors }
 // sector runs in one vectored RPC crossing (the user-level driver).
 type BatchDriver interface {
 	BlockDriver
-	WriteSectorsV(caller *mach.Thread, runs []vfs.SectorRun) (int, error)
+	WriteSectorsV(ctx klat.Ctx, caller *mach.Thread, runs []vfs.SectorRun) (int, error)
 }
 
 // VectorSectorDev is a SectorDev over a batch-capable driver that
@@ -65,7 +78,12 @@ func NewVectorSectorDev(drv BatchDriver, th *mach.Thread, sectors uint64) *Vecto
 
 // WriteSectorsV implements vfs.BatchDev.
 func (d *VectorSectorDev) WriteSectorsV(runs []vfs.SectorRun) (int, error) {
-	return d.bdrv.WriteSectorsV(d.th, runs)
+	return d.WriteSectorsVCtx(klat.Ctx{}, runs)
+}
+
+// WriteSectorsVCtx implements vfs.BatchDev.
+func (d *VectorSectorDev) WriteSectorsVCtx(ctx klat.Ctx, runs []vfs.SectorRun) (int, error) {
+	return d.bdrv.WriteSectorsV(ctx, d.th, runs)
 }
 
 var _ vfs.BatchDev = (*VectorSectorDev)(nil)

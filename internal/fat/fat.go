@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/klat"
 	"repro/internal/vfs"
 )
 
@@ -175,7 +176,7 @@ func (fs *FS) Caps() vfs.Capabilities {
 }
 
 // Sync implements vfs.FileSystem (the FAT is written through already).
-func (fs *FS) Sync() error { return nil }
+func (fs *FS) Sync(_ klat.Ctx) error { return nil }
 
 // FreeClusters reports unallocated clusters.
 func (fs *FS) FreeClusters() int {
@@ -192,15 +193,15 @@ func (fs *FS) FreeClusters() int {
 
 // --- allocation table ------------------------------------------------------
 
-func (fs *FS) allocCluster() (uint16, error) {
+func (fs *FS) allocCluster(ctx klat.Ctx) (uint16, error) {
 	for i := uint64(1); i < fs.clusters; i++ { // cluster 0 reserved
 		if fs.fat[i] == freeMark {
 			fs.fat[i] = eocMark
-			if err := fs.writeFATEntry(i); err != nil {
+			if err := fs.writeFATEntry(ctx, i); err != nil {
 				return 0, err
 			}
 			// Zero the new cluster.
-			if err := fs.dev.WriteSectors(fs.dataStart+i, make([]byte, sectorSize)); err != nil {
+			if err := fs.dev.WriteSectorsCtx(ctx, fs.dataStart+i, make([]byte, sectorSize)); err != nil {
 				return 0, err
 			}
 			return uint16(i), nil
@@ -209,22 +210,22 @@ func (fs *FS) allocCluster() (uint16, error) {
 	return 0, vfs.ErrNoSpace
 }
 
-func (fs *FS) writeFATEntry(i uint64) error {
+func (fs *FS) writeFATEntry(ctx klat.Ctx, i uint64) error {
 	sec := fs.fatStart + i/256
 	buf := make([]byte, sectorSize)
-	if err := fs.dev.ReadSectors(sec, buf); err != nil {
+	if err := fs.dev.ReadSectorsCtx(ctx, sec, buf); err != nil {
 		return err
 	}
 	binary.LittleEndian.PutUint16(buf[(i%256)*2:], fs.fat[i])
-	return fs.dev.WriteSectors(sec, buf)
+	return fs.dev.WriteSectorsCtx(ctx, sec, buf)
 }
 
-func (fs *FS) freeChain(first uint16) error {
+func (fs *FS) freeChain(ctx klat.Ctx, first uint16) error {
 	c := first
 	for c != 0 && c != eocMark {
 		next := fs.fat[c]
 		fs.fat[c] = freeMark
-		if err := fs.writeFATEntry(uint64(c)); err != nil {
+		if err := fs.writeFATEntry(ctx, uint64(c)); err != nil {
 			return err
 		}
 		c = next
@@ -234,12 +235,12 @@ func (fs *FS) freeChain(first uint16) error {
 
 // chainSector returns the device sector of the idx-th cluster in the
 // chain starting at first, extending the chain if extend is set.
-func (fs *FS) chainSector(first *uint16, idx uint64, extend bool) (uint64, error) {
+func (fs *FS) chainSector(ctx klat.Ctx, first *uint16, idx uint64, extend bool) (uint64, error) {
 	if *first == 0 {
 		if !extend {
 			return 0, vfs.ErrBadOffset
 		}
-		c, err := fs.allocCluster()
+		c, err := fs.allocCluster(ctx)
 		if err != nil {
 			return 0, err
 		}
@@ -252,12 +253,12 @@ func (fs *FS) chainSector(first *uint16, idx uint64, extend bool) (uint64, error
 			if !extend {
 				return 0, vfs.ErrBadOffset
 			}
-			nc, err := fs.allocCluster()
+			nc, err := fs.allocCluster(ctx)
 			if err != nil {
 				return 0, err
 			}
 			fs.fat[c] = nc
-			if err := fs.writeFATEntry(uint64(c)); err != nil {
+			if err := fs.writeFATEntry(ctx, uint64(c)); err != nil {
 				return 0, err
 			}
 			next = nc
@@ -381,25 +382,25 @@ type node struct {
 var _ vfs.Vnode = (*node)(nil)
 
 // loadEnt re-reads the node's directory entry.
-func (n *node) loadEnt() (dirent, error) {
+func (n *node) loadEnt(ctx klat.Ctx) (dirent, error) {
 	buf := make([]byte, sectorSize)
-	if err := n.fs.dev.ReadSectors(n.entSector, buf); err != nil {
+	if err := n.fs.dev.ReadSectorsCtx(ctx, n.entSector, buf); err != nil {
 		return dirent{}, err
 	}
 	return decodeDirent(buf[n.entOffset : n.entOffset+dirEntSize]), nil
 }
 
-func (n *node) storeEnt(d dirent) error {
+func (n *node) storeEnt(ctx klat.Ctx, d dirent) error {
 	buf := make([]byte, sectorSize)
-	if err := n.fs.dev.ReadSectors(n.entSector, buf); err != nil {
+	if err := n.fs.dev.ReadSectorsCtx(ctx, n.entSector, buf); err != nil {
 		return err
 	}
 	copy(buf[n.entOffset:n.entOffset+dirEntSize], d.encode())
-	return n.fs.dev.WriteSectors(n.entSector, buf)
+	return n.fs.dev.WriteSectorsCtx(ctx, n.entSector, buf)
 }
 
 // dirSectors iterates the sectors of this directory.
-func (n *node) dirSectors(extend bool) ([]uint64, *dirent, error) {
+func (n *node) dirSectors(ctx klat.Ctx, extend bool) ([]uint64, *dirent, error) {
 	if n.isRoot {
 		secs := make([]uint64, rootDirSecs)
 		for i := range secs {
@@ -407,7 +408,7 @@ func (n *node) dirSectors(extend bool) ([]uint64, *dirent, error) {
 		}
 		return secs, nil, nil
 	}
-	d, err := n.loadEnt()
+	d, err := n.loadEnt(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -421,13 +422,13 @@ func (n *node) dirSectors(extend bool) ([]uint64, *dirent, error) {
 }
 
 // Attr implements vfs.Vnode.
-func (n *node) Attr() (vfs.Attr, error) {
+func (n *node) Attr(ctx klat.Ctx) (vfs.Attr, error) {
 	if n.isRoot {
 		return vfs.Attr{Dir: true}, nil
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	d, err := n.loadEnt()
+	d, err := n.loadEnt(ctx)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -435,7 +436,7 @@ func (n *node) Attr() (vfs.Attr, error) {
 }
 
 // Lookup implements vfs.Vnode with FAT's case-folding match.
-func (n *node) Lookup(name string) (vfs.Vnode, error) {
+func (n *node) Lookup(ctx klat.Ctx, name string) (vfs.Vnode, error) {
 	if !n.dir {
 		return nil, vfs.ErrNotDir
 	}
@@ -445,13 +446,13 @@ func (n *node) Lookup(name string) (vfs.Vnode, error) {
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	secs, _, err := n.dirSectors(false)
+	secs, _, err := n.dirSectors(ctx, false)
 	if err != nil {
 		return nil, err
 	}
 	buf := make([]byte, sectorSize)
 	for _, s := range secs {
-		if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+		if err := n.fs.dev.ReadSectorsCtx(ctx, s, buf); err != nil {
 			return nil, err
 		}
 		for i := 0; i < entsPerSec; i++ {
@@ -468,7 +469,7 @@ func (n *node) Lookup(name string) (vfs.Vnode, error) {
 }
 
 // Create implements vfs.Vnode.
-func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
+func (n *node) Create(ctx klat.Ctx, name string, dir bool) (vfs.Vnode, error) {
 	if !n.dir {
 		return nil, vfs.ErrNotDir
 	}
@@ -476,12 +477,12 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, lerr := n.Lookup(name); lerr == nil {
+	if _, lerr := n.Lookup(ctx, name); lerr == nil {
 		return nil, vfs.ErrExists
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	secs, dent, err := n.dirSectors(true)
+	secs, dent, err := n.dirSectors(ctx, true)
 	if err != nil {
 		return nil, err
 	}
@@ -492,13 +493,13 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 			d.attr = attrDir
 		}
 		copy(buf[i*dirEntSize:(i+1)*dirEntSize], d.encode())
-		if err := n.fs.dev.WriteSectors(s, buf); err != nil {
+		if err := n.fs.dev.WriteSectorsCtx(ctx, s, buf); err != nil {
 			return nil, err
 		}
 		return &node{fs: n.fs, dir: dir, entSector: s, entOffset: i * dirEntSize}, nil
 	}
 	for _, s := range secs {
-		if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+		if err := n.fs.dev.ReadSectorsCtx(ctx, s, buf); err != nil {
 			return nil, err
 		}
 		for i := 0; i < entsPerSec; i++ {
@@ -512,7 +513,7 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 	if n.isRoot {
 		return nil, ErrDirFull
 	}
-	c, err := n.fs.allocCluster()
+	c, err := n.fs.allocCluster(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +521,7 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 	last := dent.first
 	if last == 0 {
 		dent.first = c
-		if err := n.storeEnt(*dent); err != nil {
+		if err := n.storeEnt(ctx, *dent); err != nil {
 			return nil, err
 		}
 	} else {
@@ -528,39 +529,39 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 			last = n.fs.fat[last]
 		}
 		n.fs.fat[last] = c
-		if err := n.fs.writeFATEntry(uint64(last)); err != nil {
+		if err := n.fs.writeFATEntry(ctx, uint64(last)); err != nil {
 			return nil, err
 		}
 	}
 	s := n.fs.dataStart + uint64(c)
-	if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+	if err := n.fs.dev.ReadSectorsCtx(ctx, s, buf); err != nil {
 		return nil, err
 	}
 	return place(s, 0)
 }
 
 // Remove implements vfs.Vnode.
-func (n *node) Remove(name string) error {
-	child, err := n.Lookup(name)
+func (n *node) Remove(ctx klat.Ctx, name string) error {
+	child, err := n.Lookup(ctx, name)
 	if err != nil {
 		return err
 	}
 	cn := child.(*node)
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	d, err := cn.loadEnt()
+	d, err := cn.loadEnt(ctx)
 	if err != nil {
 		return err
 	}
 	if d.attr&attrDir != 0 {
 		// Must be empty.
-		secs, _, err := cn.dirSectors(false)
+		secs, _, err := cn.dirSectors(ctx, false)
 		if err != nil {
 			return err
 		}
 		buf := make([]byte, sectorSize)
 		for _, s := range secs {
-			if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+			if err := n.fs.dev.ReadSectorsCtx(ctx, s, buf); err != nil {
 				return err
 			}
 			for i := 0; i < entsPerSec; i++ {
@@ -572,16 +573,16 @@ func (n *node) Remove(name string) error {
 		}
 	}
 	if d.first != 0 {
-		if err := n.fs.freeChain(d.first); err != nil {
+		if err := n.fs.freeChain(ctx, d.first); err != nil {
 			return err
 		}
 	}
 	d.base[0] = nameDeleted
-	return cn.storeEnt(d)
+	return cn.storeEnt(ctx, d)
 }
 
 // ReadAt implements vfs.Vnode.
-func (n *node) ReadAt(p []byte, off int64) (int, error) {
+func (n *node) ReadAt(ctx klat.Ctx, p []byte, off int64) (int, error) {
 	if n.dir {
 		return 0, vfs.ErrIsDir
 	}
@@ -590,7 +591,7 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	d, err := n.loadEnt()
+	d, err := n.loadEnt(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -606,11 +607,11 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 		cur := off + int64(read)
 		idx := uint64(cur) / sectorSize
 		within := int(uint64(cur) % sectorSize)
-		s, err := n.fs.chainSector(&d.first, idx, false)
+		s, err := n.fs.chainSector(ctx, &d.first, idx, false)
 		if err != nil {
 			return read, err
 		}
-		if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+		if err := n.fs.dev.ReadSectorsCtx(ctx, s, buf); err != nil {
 			return read, err
 		}
 		read += copy(p[read:], buf[within:])
@@ -619,7 +620,7 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAt implements vfs.Vnode.
-func (n *node) WriteAt(p []byte, off int64) (int, error) {
+func (n *node) WriteAt(ctx klat.Ctx, p []byte, off int64) (int, error) {
 	if n.dir {
 		return 0, vfs.ErrIsDir
 	}
@@ -628,7 +629,7 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	d, err := n.loadEnt()
+	d, err := n.loadEnt(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -638,15 +639,15 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 		cur := off + int64(written)
 		idx := uint64(cur) / sectorSize
 		within := int(uint64(cur) % sectorSize)
-		s, err := n.fs.chainSector(&d.first, idx, true)
+		s, err := n.fs.chainSector(ctx, &d.first, idx, true)
 		if err != nil {
 			return written, err
 		}
-		if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+		if err := n.fs.dev.ReadSectorsCtx(ctx, s, buf); err != nil {
 			return written, err
 		}
 		c := copy(buf[within:], p[written:])
-		if err := n.fs.dev.WriteSectors(s, buf); err != nil {
+		if err := n.fs.dev.WriteSectorsCtx(ctx, s, buf); err != nil {
 			return written, err
 		}
 		written += c
@@ -655,7 +656,7 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 		d.size = end
 	}
 	d.mtime++
-	if err := n.storeEnt(d); err != nil {
+	if err := n.storeEnt(ctx, d); err != nil {
 		return written, err
 	}
 	return written, nil
@@ -663,7 +664,7 @@ func (n *node) WriteAt(p []byte, off int64) (int, error) {
 
 // Truncate implements vfs.Vnode (grow or shrink; clusters beyond the new
 // size are freed).
-func (n *node) Truncate(size int64) error {
+func (n *node) Truncate(ctx klat.Ctx, size int64) error {
 	if n.dir {
 		return vfs.ErrIsDir
 	}
@@ -672,7 +673,7 @@ func (n *node) Truncate(size int64) error {
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	d, err := n.loadEnt()
+	d, err := n.loadEnt(ctx)
 	if err != nil {
 		return err
 	}
@@ -680,7 +681,7 @@ func (n *node) Truncate(size int64) error {
 		keep := (uint64(size) + sectorSize - 1) / sectorSize
 		if keep == 0 {
 			if d.first != 0 {
-				if err := n.fs.freeChain(d.first); err != nil {
+				if err := n.fs.freeChain(ctx, d.first); err != nil {
 					return err
 				}
 				d.first = 0
@@ -691,35 +692,35 @@ func (n *node) Truncate(size int64) error {
 				c = n.fs.fat[c]
 			}
 			if next := n.fs.fat[c]; next != eocMark {
-				if err := n.fs.freeChain(next); err != nil {
+				if err := n.fs.freeChain(ctx, next); err != nil {
 					return err
 				}
 				n.fs.fat[c] = eocMark
-				if err := n.fs.writeFATEntry(uint64(c)); err != nil {
+				if err := n.fs.writeFATEntry(ctx, uint64(c)); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	d.size = uint32(size)
-	return n.storeEnt(d)
+	return n.storeEnt(ctx, d)
 }
 
 // ReadDir implements vfs.Vnode.
-func (n *node) ReadDir() ([]vfs.DirEnt, error) {
+func (n *node) ReadDir(ctx klat.Ctx) ([]vfs.DirEnt, error) {
 	if !n.dir {
 		return nil, vfs.ErrNotDir
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	secs, _, err := n.dirSectors(false)
+	secs, _, err := n.dirSectors(ctx, false)
 	if err != nil {
 		return nil, err
 	}
 	var out []vfs.DirEnt
 	buf := make([]byte, sectorSize)
 	for _, s := range secs {
-		if err := n.fs.dev.ReadSectors(s, buf); err != nil {
+		if err := n.fs.dev.ReadSectorsCtx(ctx, s, buf); err != nil {
 			return nil, err
 		}
 		for i := 0; i < entsPerSec; i++ {
@@ -737,7 +738,7 @@ func (n *node) ReadDir() ([]vfs.DirEnt, error) {
 }
 
 // SetEA implements vfs.Vnode: FAT has no EA storage.
-func (n *node) SetEA(key, value string) error { return vfs.ErrUnsupported }
+func (n *node) SetEA(_ klat.Ctx, key, value string) error { return vfs.ErrUnsupported }
 
 // GetEA implements vfs.Vnode.
-func (n *node) GetEA(key string) (string, error) { return "", vfs.ErrUnsupported }
+func (n *node) GetEA(_ klat.Ctx, key string) (string, error) { return "", vfs.ErrUnsupported }

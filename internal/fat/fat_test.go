@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/klat"
 	"repro/internal/vfs"
 )
 
@@ -51,30 +52,30 @@ func TestEncodeName(t *testing.T) {
 func TestCaseFolding(t *testing.T) {
 	fs := newFS(t)
 	root := fs.Root()
-	if _, err := root.Create("Readme.txt", false); err != nil {
+	if _, err := root.Create(klat.Ctx{}, "Readme.txt", false); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	// FAT folds to upper case: any case matches, and the stored name is
 	// the folded one (case NOT preserved).
-	if _, err := root.Lookup("README.TXT"); err != nil {
+	if _, err := root.Lookup(klat.Ctx{}, "README.TXT"); err != nil {
 		t.Fatalf("upper lookup: %v", err)
 	}
-	if _, err := root.Lookup("readme.txt"); err != nil {
+	if _, err := root.Lookup(klat.Ctx{}, "readme.txt"); err != nil {
 		t.Fatalf("lower lookup: %v", err)
 	}
-	ents, _ := root.ReadDir()
+	ents, _ := root.ReadDir(klat.Ctx{})
 	if len(ents) != 1 || ents[0].Name != "README.TXT" {
 		t.Fatalf("stored name = %v", ents)
 	}
 	// A case variant is the SAME file — creating it must fail.
-	if _, err := root.Create("README.txt", false); err != vfs.ErrExists {
+	if _, err := root.Create(klat.Ctx{}, "README.txt", false); err != vfs.ErrExists {
 		t.Fatalf("case-variant create err = %v", err)
 	}
 }
 
 func TestLongNameRejected(t *testing.T) {
 	fs := newFS(t)
-	if _, err := fs.Root().Create("long-file-name.text", false); err != vfs.ErrNameTooLong {
+	if _, err := fs.Root().Create(klat.Ctx{}, "long-file-name.text", false); err != vfs.ErrNameTooLong {
 		t.Fatalf("err = %v, want ErrNameTooLong", err)
 	}
 }
@@ -83,12 +84,12 @@ func TestFileDataPersistsAcrossRemount(t *testing.T) {
 	dev := vfs.NewRAMDisk(2048)
 	Format(dev)
 	fs, _ := Mount(dev)
-	f, err := fs.Root().Create("DATA.BIN", false)
+	f, err := fs.Root().Create(klat.Ctx{}, "DATA.BIN", false)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	payload := bytes.Repeat([]byte{0x42, 0x13}, 3000) // multiple clusters
-	if _, err := f.WriteAt(payload, 0); err != nil {
+	if _, err := f.WriteAt(klat.Ctx{}, payload, 0); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	// Remount from the raw device: everything must come off the disk.
@@ -96,12 +97,12 @@ func TestFileDataPersistsAcrossRemount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
-	f2, err := fs2.Root().Lookup("DATA.BIN")
+	f2, err := fs2.Root().Lookup(klat.Ctx{}, "DATA.BIN")
 	if err != nil {
 		t.Fatalf("Lookup after remount: %v", err)
 	}
 	got := make([]byte, len(payload))
-	n, err := f2.ReadAt(got, 0)
+	n, err := f2.ReadAt(klat.Ctx{}, got, 0)
 	if err != nil || n != len(payload) {
 		t.Fatalf("ReadAt: %d %v", n, err)
 	}
@@ -112,18 +113,18 @@ func TestFileDataPersistsAcrossRemount(t *testing.T) {
 
 func TestReadAtOffsetsAndEOF(t *testing.T) {
 	fs := newFS(t)
-	f, _ := fs.Root().Create("F.TXT", false)
-	f.WriteAt([]byte("0123456789"), 0)
+	f, _ := fs.Root().Create(klat.Ctx{}, "F.TXT", false)
+	f.WriteAt(klat.Ctx{}, []byte("0123456789"), 0)
 	buf := make([]byte, 4)
-	n, err := f.ReadAt(buf, 3)
+	n, err := f.ReadAt(klat.Ctx{}, buf, 3)
 	if err != nil || n != 4 || string(buf) != "3456" {
 		t.Fatalf("mid read: %d %v %q", n, err, buf)
 	}
-	n, err = f.ReadAt(buf, 8)
+	n, err = f.ReadAt(klat.Ctx{}, buf, 8)
 	if err != nil || n != 2 || string(buf[:n]) != "89" {
 		t.Fatalf("tail read: %d %v", n, err)
 	}
-	n, err = f.ReadAt(buf, 100)
+	n, err = f.ReadAt(klat.Ctx{}, buf, 100)
 	if err != nil || n != 0 {
 		t.Fatalf("past-EOF read: %d %v", n, err)
 	}
@@ -131,20 +132,20 @@ func TestReadAtOffsetsAndEOF(t *testing.T) {
 
 func TestSparseWriteAcrossClusters(t *testing.T) {
 	fs := newFS(t)
-	f, _ := fs.Root().Create("S.BIN", false)
-	if _, err := f.WriteAt([]byte{0xEE}, 2000); err != nil {
+	f, _ := fs.Root().Create(klat.Ctx{}, "S.BIN", false)
+	if _, err := f.WriteAt(klat.Ctx{}, []byte{0xEE}, 2000); err != nil {
 		t.Fatalf("sparse write: %v", err)
 	}
-	a, _ := f.Attr()
+	a, _ := f.Attr(klat.Ctx{})
 	if a.Size != 2001 {
 		t.Fatalf("size = %d", a.Size)
 	}
 	buf := make([]byte, 1)
-	f.ReadAt(buf, 0)
+	f.ReadAt(klat.Ctx{}, buf, 0)
 	if buf[0] != 0 {
 		t.Fatal("hole not zero")
 	}
-	f.ReadAt(buf, 2000)
+	f.ReadAt(klat.Ctx{}, buf, 2000)
 	if buf[0] != 0xEE {
 		t.Fatal("sparse byte lost")
 	}
@@ -153,28 +154,28 @@ func TestSparseWriteAcrossClusters(t *testing.T) {
 func TestTruncateFreesClusters(t *testing.T) {
 	fs := newFS(t)
 	free0 := fs.FreeClusters()
-	f, _ := fs.Root().Create("T.BIN", false)
-	f.WriteAt(make([]byte, 10*512), 0)
+	f, _ := fs.Root().Create(klat.Ctx{}, "T.BIN", false)
+	f.WriteAt(klat.Ctx{}, make([]byte, 10*512), 0)
 	if fs.FreeClusters() >= free0 {
 		t.Fatal("write should consume clusters")
 	}
-	if err := f.Truncate(512); err != nil {
+	if err := f.Truncate(klat.Ctx{}, 512); err != nil {
 		t.Fatalf("Truncate: %v", err)
 	}
 	if fs.FreeClusters() != free0-1 {
 		t.Fatalf("truncate should free all but one cluster: %d vs %d", fs.FreeClusters(), free0-1)
 	}
-	if err := f.Truncate(0); err != nil {
+	if err := f.Truncate(klat.Ctx{}, 0); err != nil {
 		t.Fatalf("Truncate 0: %v", err)
 	}
 	if fs.FreeClusters() != free0 {
 		t.Fatal("truncate to zero should free everything")
 	}
 	// Grow back.
-	if err := f.Truncate(100); err != nil {
+	if err := f.Truncate(klat.Ctx{}, 100); err != nil {
 		t.Fatalf("grow: %v", err)
 	}
-	a, _ := f.Attr()
+	a, _ := f.Attr(klat.Ctx{})
 	if a.Size != 100 {
 		t.Fatalf("size = %d", a.Size)
 	}
@@ -183,7 +184,7 @@ func TestTruncateFreesClusters(t *testing.T) {
 func TestSubdirectories(t *testing.T) {
 	fs := newFS(t)
 	root := fs.Root()
-	d, err := root.Create("SUBDIR", true)
+	d, err := root.Create(klat.Ctx{}, "SUBDIR", true)
 	if err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}
@@ -191,27 +192,27 @@ func TestSubdirectories(t *testing.T) {
 	// directory chain to grow.
 	for i := 0; i < 40; i++ {
 		name := "F" + string(rune('A'+i/10)) + string(rune('0'+i%10)) + ".DAT"
-		if _, err := d.Create(name, false); err != nil {
+		if _, err := d.Create(klat.Ctx{}, name, false); err != nil {
 			t.Fatalf("create %s: %v", name, err)
 		}
 	}
-	ents, err := d.ReadDir()
+	ents, err := d.ReadDir(klat.Ctx{})
 	if err != nil || len(ents) != 40 {
 		t.Fatalf("ReadDir: %d %v", len(ents), err)
 	}
 	// Non-empty directory cannot be removed.
-	if err := root.Remove("SUBDIR"); err != vfs.ErrNotEmpty {
+	if err := root.Remove(klat.Ctx{}, "SUBDIR"); err != vfs.ErrNotEmpty {
 		t.Fatalf("remove non-empty err = %v", err)
 	}
 	for _, e := range ents {
-		if err := d.Remove(e.Name); err != nil {
+		if err := d.Remove(klat.Ctx{}, e.Name); err != nil {
 			t.Fatalf("remove %s: %v", e.Name, err)
 		}
 	}
-	if err := root.Remove("SUBDIR"); err != nil {
+	if err := root.Remove(klat.Ctx{}, "SUBDIR"); err != nil {
 		t.Fatalf("remove emptied: %v", err)
 	}
-	if _, err := root.Lookup("SUBDIR"); err != vfs.ErrNotFound {
+	if _, err := root.Lookup(klat.Ctx{}, "SUBDIR"); err != vfs.ErrNotFound {
 		t.Fatal("directory survived removal")
 	}
 }
@@ -219,16 +220,16 @@ func TestSubdirectories(t *testing.T) {
 func TestRemoveFreesSpace(t *testing.T) {
 	fs := newFS(t)
 	free0 := fs.FreeClusters()
-	f, _ := fs.Root().Create("BIG.BIN", false)
-	f.WriteAt(make([]byte, 20*512), 0)
-	if err := fs.Root().Remove("BIG.BIN"); err != nil {
+	f, _ := fs.Root().Create(klat.Ctx{}, "BIG.BIN", false)
+	f.WriteAt(klat.Ctx{}, make([]byte, 20*512), 0)
+	if err := fs.Root().Remove(klat.Ctx{}, "BIG.BIN"); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
 	if fs.FreeClusters() != free0 {
 		t.Fatalf("clusters leaked: %d vs %d", fs.FreeClusters(), free0)
 	}
 	// The slot is reusable.
-	if _, err := fs.Root().Create("BIG.BIN", false); err != nil {
+	if _, err := fs.Root().Create(klat.Ctx{}, "BIG.BIN", false); err != nil {
 		t.Fatalf("recreate: %v", err)
 	}
 }
@@ -239,11 +240,11 @@ func TestDiskFull(t *testing.T) {
 		t.Fatalf("Format: %v", err)
 	}
 	fs, _ := Mount(dev)
-	f, err := fs.Root().Create("X.BIN", false)
+	f, err := fs.Root().Create(klat.Ctx{}, "X.BIN", false)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	_, err = f.WriteAt(make([]byte, 1<<20), 0)
+	_, err = f.WriteAt(klat.Ctx{}, make([]byte, 1<<20), 0)
 	if !errors.Is(err, vfs.ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
@@ -251,11 +252,11 @@ func TestDiskFull(t *testing.T) {
 
 func TestNoEASupport(t *testing.T) {
 	fs := newFS(t)
-	f, _ := fs.Root().Create("F.TXT", false)
-	if err := f.SetEA("k", "v"); err != vfs.ErrUnsupported {
+	f, _ := fs.Root().Create(klat.Ctx{}, "F.TXT", false)
+	if err := f.SetEA(klat.Ctx{}, "k", "v"); err != vfs.ErrUnsupported {
 		t.Fatalf("SetEA err = %v", err)
 	}
-	if _, err := f.GetEA("k"); err != vfs.ErrUnsupported {
+	if _, err := f.GetEA(klat.Ctx{}, "k"); err != vfs.ErrUnsupported {
 		t.Fatalf("GetEA err = %v", err)
 	}
 }
@@ -275,7 +276,7 @@ func TestCapsMatchFormat(t *testing.T) {
 // boundaries are exact.
 func TestPropertyWriteRead(t *testing.T) {
 	fs := newFS(t)
-	f, _ := fs.Root().Create("P.BIN", false)
+	f, _ := fs.Root().Create(klat.Ctx{}, "P.BIN", false)
 	check := func(off uint16, data []byte) bool {
 		if len(data) == 0 {
 			return true
@@ -283,11 +284,11 @@ func TestPropertyWriteRead(t *testing.T) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		if _, err := f.WriteAt(data, int64(off)); err != nil {
+		if _, err := f.WriteAt(klat.Ctx{}, data, int64(off)); err != nil {
 			return false
 		}
 		got := make([]byte, len(data))
-		n, err := f.ReadAt(got, int64(off))
+		n, err := f.ReadAt(klat.Ctx{}, got, int64(off))
 		return err == nil && n == len(data) && bytes.Equal(got, data)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/klat"
 	"repro/internal/vfs"
 )
 
@@ -20,21 +21,21 @@ func TestIOErrorDuringWritePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := fs.Root().Create("DATA.BIN", false)
+	f, err := fs.Root().Create(klat.Ctx{}, "DATA.BIN", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dev.FailAfter(0, false, true) // all writes fail
-	if _, err := f.WriteAt(make([]byte, 4096), 0); !errors.Is(err, vfs.ErrIO) {
+	if _, err := f.WriteAt(klat.Ctx{}, make([]byte, 4096), 0); !errors.Is(err, vfs.ErrIO) {
 		t.Fatalf("err = %v, want ErrIO", err)
 	}
 	// Heal: the file system keeps working.
 	dev.Heal()
-	if _, err := f.WriteAt([]byte("ok"), 0); err != nil {
+	if _, err := f.WriteAt(klat.Ctx{}, []byte("ok"), 0); err != nil {
 		t.Fatalf("post-heal write: %v", err)
 	}
 	buf := make([]byte, 2)
-	if _, err := f.ReadAt(buf, 0); err != nil || string(buf) != "ok" {
+	if _, err := f.ReadAt(klat.Ctx{}, buf, 0); err != nil || string(buf) != "ok" {
 		t.Fatalf("post-heal read: %q %v", buf, err)
 	}
 }
@@ -44,19 +45,19 @@ func TestIOErrorDuringReadPropagates(t *testing.T) {
 	Format(raw)
 	dev := vfs.NewFaultyDev(raw)
 	fs, _ := Mount(dev)
-	f, _ := fs.Root().Create("X.TXT", false)
-	f.WriteAt([]byte("payload"), 0)
+	f, _ := fs.Root().Create(klat.Ctx{}, "X.TXT", false)
+	f.WriteAt(klat.Ctx{}, []byte("payload"), 0)
 	dev.FailAfter(0, true, false)
 	buf := make([]byte, 7)
-	if _, err := f.ReadAt(buf, 0); !errors.Is(err, vfs.ErrIO) {
+	if _, err := f.ReadAt(klat.Ctx{}, buf, 0); !errors.Is(err, vfs.ErrIO) {
 		t.Fatalf("err = %v", err)
 	}
 	// Directory operations also surface the error.
-	if _, err := fs.Root().ReadDir(); !errors.Is(err, vfs.ErrIO) {
+	if _, err := fs.Root().ReadDir(klat.Ctx{}); !errors.Is(err, vfs.ErrIO) {
 		t.Fatalf("readdir err = %v", err)
 	}
 	dev.Heal()
-	if _, err := f.ReadAt(buf, 0); err != nil {
+	if _, err := f.ReadAt(klat.Ctx{}, buf, 0); err != nil {
 		t.Fatalf("post-heal: %v", err)
 	}
 }
@@ -82,14 +83,14 @@ func TestCreateFailsMidwayLeavesMountableVolume(t *testing.T) {
 	fs, _ := Mount(dev)
 	// Let a couple of ops through, then fail writes during a create.
 	dev.FailAfter(1, false, true)
-	_, cerr := fs.Root().Create("NEW.TXT", false)
+	_, cerr := fs.Root().Create(klat.Ctx{}, "NEW.TXT", false)
 	dev.Heal()
 	// Whatever happened, the volume must still mount and list.
 	fs2, err := Mount(raw)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
-	if _, err := fs2.Root().ReadDir(); err != nil {
+	if _, err := fs2.Root().ReadDir(klat.Ctx{}); err != nil {
 		t.Fatalf("readdir after partial create (%v): %v", cerr, err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/klat"
 	"repro/internal/vfs"
 )
 
@@ -73,7 +74,7 @@ func Format(dev vfs.BlockDev) error {
 	root := fnode{used: true, dir: true, name: ""}
 	fs := &FS{dev: dev, fnodeStart: fnodeStart, fnodeCount: fnodeCount,
 		bitmapStart: bitmapStart, dataStart: dataStart, total: total}
-	return fs.writeFnode(0, &root)
+	return fs.writeFnode(klat.Ctx{}, 0, &root)
 }
 
 // FS is a mounted HPFS volume.
@@ -160,7 +161,7 @@ func (fs *FS) Caps() vfs.Capabilities {
 }
 
 // Sync implements vfs.FileSystem (write-through format).
-func (fs *FS) Sync() error { return nil }
+func (fs *FS) Sync(_ klat.Ctx) error { return nil }
 
 // --- fnode codec -------------------------------------------------------------
 
@@ -252,21 +253,21 @@ func decodeFnode(b []byte) fnode {
 	return f
 }
 
-func (fs *FS) readFnode(idx uint32) (fnode, error) {
+func (fs *FS) readFnode(ctx klat.Ctx, idx uint32) (fnode, error) {
 	b := make([]byte, sectorSize)
-	if err := fs.dev.ReadSectors(fs.fnodeStart+uint64(idx), b); err != nil {
+	if err := fs.dev.ReadSectorsCtx(ctx, fs.fnodeStart+uint64(idx), b); err != nil {
 		return fnode{}, err
 	}
 	return decodeFnode(b), nil
 }
 
-func (fs *FS) writeFnode(idx uint32, f *fnode) error {
-	return fs.dev.WriteSectors(fs.fnodeStart+uint64(idx), f.encode())
+func (fs *FS) writeFnode(ctx klat.Ctx, idx uint32, f *fnode) error {
+	return fs.dev.WriteSectorsCtx(ctx, fs.fnodeStart+uint64(idx), f.encode())
 }
 
-func (fs *FS) allocFnode() (uint32, error) {
+func (fs *FS) allocFnode(ctx klat.Ctx) (uint32, error) {
 	for i := uint32(1); uint64(i) < fs.fnodeCount; i++ {
-		f, err := fs.readFnode(i)
+		f, err := fs.readFnode(ctx, i)
 		if err != nil {
 			return 0, err
 		}
@@ -279,22 +280,22 @@ func (fs *FS) allocFnode() (uint32, error) {
 
 // --- bitmap allocation --------------------------------------------------------
 
-func (fs *FS) bitmapGet(sector uint64) (bool, error) {
+func (fs *FS) bitmapGet(ctx klat.Ctx, sector uint64) (bool, error) {
 	bit := sector
 	sec := fs.bitmapStart + bit/(sectorSize*8)
 	b := make([]byte, sectorSize)
-	if err := fs.dev.ReadSectors(sec, b); err != nil {
+	if err := fs.dev.ReadSectorsCtx(ctx, sec, b); err != nil {
 		return false, err
 	}
 	i := bit % (sectorSize * 8)
 	return b[i/8]&(1<<(i%8)) != 0, nil
 }
 
-func (fs *FS) bitmapSet(sector uint64, v bool) error {
+func (fs *FS) bitmapSet(ctx klat.Ctx, sector uint64, v bool) error {
 	bit := sector
 	sec := fs.bitmapStart + bit/(sectorSize*8)
 	b := make([]byte, sectorSize)
-	if err := fs.dev.ReadSectors(sec, b); err != nil {
+	if err := fs.dev.ReadSectorsCtx(ctx, sec, b); err != nil {
 		return err
 	}
 	i := bit % (sectorSize * 8)
@@ -303,11 +304,11 @@ func (fs *FS) bitmapSet(sector uint64, v bool) error {
 	} else {
 		b[i/8] &^= 1 << (i % 8)
 	}
-	return fs.dev.WriteSectors(sec, b)
+	return fs.dev.WriteSectorsCtx(ctx, sec, b)
 }
 
 // allocRun finds n contiguous free data sectors, preferring after hint.
-func (fs *FS) allocRun(n uint64, hint uint64) (uint64, error) {
+func (fs *FS) allocRun(ctx klat.Ctx, n uint64, hint uint64) (uint64, error) {
 	start := hint
 	if start < fs.dataStart {
 		start = fs.dataStart
@@ -316,7 +317,7 @@ func (fs *FS) allocRun(n uint64, hint uint64) (uint64, error) {
 		run := uint64(0)
 		runStart := start
 		for s := start; s < fs.total; s++ {
-			used, err := fs.bitmapGet(s)
+			used, err := fs.bitmapGet(ctx, s)
 			if err != nil {
 				return 0, err
 			}
@@ -328,7 +329,7 @@ func (fs *FS) allocRun(n uint64, hint uint64) (uint64, error) {
 			run++
 			if run == n {
 				for x := runStart; x <= s; x++ {
-					if err := fs.bitmapSet(x, true); err != nil {
+					if err := fs.bitmapSet(ctx, x, true); err != nil {
 						return 0, err
 					}
 				}
@@ -350,10 +351,10 @@ type node struct {
 var _ vfs.Vnode = (*node)(nil)
 
 // Attr implements vfs.Vnode.
-func (n *node) Attr() (vfs.Attr, error) {
+func (n *node) Attr(ctx klat.Ctx) (vfs.Attr, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -368,8 +369,8 @@ func (n *node) Attr() (vfs.Attr, error) {
 }
 
 // children reads a directory's child fnode indexes.
-func (fs *FS) children(f *fnode) ([]uint32, error) {
-	data, err := fs.readData(f, 0, f.size)
+func (fs *FS) children(ctx klat.Ctx, f *fnode) ([]uint32, error) {
+	data, err := fs.readData(ctx, f, 0, f.size)
 	if err != nil {
 		return nil, err
 	}
@@ -382,27 +383,27 @@ func (fs *FS) children(f *fnode) ([]uint32, error) {
 
 // Lookup implements vfs.Vnode with case-insensitive, case-preserving
 // matching.
-func (n *node) Lookup(name string) (vfs.Vnode, error) {
+func (n *node) Lookup(ctx klat.Ctx, name string) (vfs.Vnode, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	return n.lookupLocked(name)
+	return n.lookupLocked(ctx, name)
 }
 
-func (n *node) lookupLocked(name string) (vfs.Vnode, error) {
-	f, err := n.fs.readFnode(n.idx)
+func (n *node) lookupLocked(ctx klat.Ctx, name string) (vfs.Vnode, error) {
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return nil, err
 	}
 	if !f.dir {
 		return nil, vfs.ErrNotDir
 	}
-	kids, err := n.fs.children(&f)
+	kids, err := n.fs.children(ctx, &f)
 	if err != nil {
 		return nil, err
 	}
 	want := strings.ToLower(name)
 	for _, k := range kids {
-		cf, err := n.fs.readFnode(k)
+		cf, err := n.fs.readFnode(ctx, k)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +415,7 @@ func (n *node) lookupLocked(name string) (vfs.Vnode, error) {
 }
 
 // Create implements vfs.Vnode.
-func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
+func (n *node) Create(ctx klat.Ctx, name string, dir bool) (vfs.Vnode, error) {
 	if name == "" || len(name) > MaxName || strings.ContainsRune(name, '/') {
 		if len(name) > MaxName {
 			return nil, vfs.ErrNameTooLong
@@ -423,56 +424,56 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	if _, err := n.lookupLocked(name); err == nil {
+	if _, err := n.lookupLocked(ctx, name); err == nil {
 		return nil, vfs.ErrExists
 	}
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return nil, err
 	}
 	if !f.dir {
 		return nil, vfs.ErrNotDir
 	}
-	idx, err := n.fs.allocFnode()
+	idx, err := n.fs.allocFnode(ctx)
 	if err != nil {
 		return nil, err
 	}
 	nf := fnode{used: true, dir: dir, name: name}
-	if err := n.fs.writeFnode(idx, &nf); err != nil {
+	if err := n.fs.writeFnode(ctx, idx, &nf); err != nil {
 		return nil, err
 	}
 	// Append to the directory data.
 	var rec [4]byte
 	binary.LittleEndian.PutUint32(rec[:], idx)
-	if err := n.fs.writeData(&f, f.size, rec[:]); err != nil {
+	if err := n.fs.writeData(ctx, &f, f.size, rec[:]); err != nil {
 		return nil, err
 	}
-	if err := n.fs.writeFnode(n.idx, &f); err != nil {
+	if err := n.fs.writeFnode(ctx, n.idx, &f); err != nil {
 		return nil, err
 	}
 	return &node{fs: n.fs, idx: idx}, nil
 }
 
 // Remove implements vfs.Vnode.
-func (n *node) Remove(name string) error {
+func (n *node) Remove(ctx klat.Ctx, name string) error {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	child, err := n.lookupLocked(name)
+	child, err := n.lookupLocked(ctx, name)
 	if err != nil {
 		return err
 	}
 	cn := child.(*node)
-	cf, err := n.fs.readFnode(cn.idx)
+	cf, err := n.fs.readFnode(ctx, cn.idx)
 	if err != nil {
 		return err
 	}
 	if cf.dir && cf.size > 0 {
-		kids, err := n.fs.children(&cf)
+		kids, err := n.fs.children(ctx, &cf)
 		if err != nil {
 			return err
 		}
 		for _, k := range kids {
-			kf, err := n.fs.readFnode(k)
+			kf, err := n.fs.readFnode(ctx, k)
 			if err != nil {
 				return err
 			}
@@ -484,7 +485,7 @@ func (n *node) Remove(name string) error {
 	// Free data sectors.
 	for _, e := range cf.extents {
 		for s := uint64(e.start); s < uint64(e.start)+uint64(e.count); s++ {
-			if err := n.fs.bitmapSet(s, false); err != nil {
+			if err := n.fs.bitmapSet(ctx, s, false); err != nil {
 				return err
 			}
 		}
@@ -493,15 +494,15 @@ func (n *node) Remove(name string) error {
 	cf.extents = nil
 	cf.eas = nil
 	cf.size = 0
-	if err := n.fs.writeFnode(cn.idx, &cf); err != nil {
+	if err := n.fs.writeFnode(ctx, cn.idx, &cf); err != nil {
 		return err
 	}
 	// Rewrite the parent directory without this child.
-	pf, err := n.fs.readFnode(n.idx)
+	pf, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return err
 	}
-	kids, err := n.fs.children(&pf)
+	kids, err := n.fs.children(ctx, &pf)
 	if err != nil {
 		return err
 	}
@@ -514,21 +515,21 @@ func (n *node) Remove(name string) error {
 		binary.LittleEndian.PutUint32(rec[:], k)
 		buf = append(buf, rec[:]...)
 	}
-	if err := n.fs.truncData(&pf, 0); err != nil {
+	if err := n.fs.truncData(ctx, &pf, 0); err != nil {
 		return err
 	}
 	if len(buf) > 0 {
-		if err := n.fs.writeData(&pf, 0, buf); err != nil {
+		if err := n.fs.writeData(ctx, &pf, 0, buf); err != nil {
 			return err
 		}
 	}
-	return n.fs.writeFnode(n.idx, &pf)
+	return n.fs.writeFnode(ctx, n.idx, &pf)
 }
 
 // --- extent data path -----------------------------------------------------------
 
 // readData reads [off, off+n) from the fnode's extents.
-func (fs *FS) readData(f *fnode, off, n uint64) ([]byte, error) {
+func (fs *FS) readData(ctx klat.Ctx, f *fnode, off, n uint64) ([]byte, error) {
 	if off >= f.size {
 		return nil, nil
 	}
@@ -542,7 +543,7 @@ func (fs *FS) readData(f *fnode, off, n uint64) ([]byte, error) {
 		if !ok {
 			return nil, vfs.ErrBadOffset
 		}
-		if err := fs.dev.ReadSectors(sec, buf); err != nil {
+		if err := fs.dev.ReadSectorsCtx(ctx, sec, buf); err != nil {
 			return nil, err
 		}
 		within := off % sectorSize
@@ -578,7 +579,7 @@ func (f *fnode) sectors() uint64 {
 }
 
 // ensureCapacity grows the extent list to cover sectors [0, want).
-func (fs *FS) ensureCapacity(f *fnode, want uint64) error {
+func (fs *FS) ensureCapacity(ctx klat.Ctx, f *fnode, want uint64) error {
 	have := f.sectors()
 	if have >= want {
 		return nil
@@ -589,14 +590,14 @@ func (fs *FS) ensureCapacity(f *fnode, want uint64) error {
 		last := &f.extents[len(f.extents)-1]
 		nextSec := uint64(last.start) + uint64(last.count)
 		for need > 0 && nextSec < fs.total {
-			used, err := fs.bitmapGet(nextSec)
+			used, err := fs.bitmapGet(ctx, nextSec)
 			if err != nil {
 				return err
 			}
 			if used {
 				break
 			}
-			if err := fs.bitmapSet(nextSec, true); err != nil {
+			if err := fs.bitmapSet(ctx, nextSec, true); err != nil {
 				return err
 			}
 			last.count++
@@ -610,7 +611,7 @@ func (fs *FS) ensureCapacity(f *fnode, want uint64) error {
 	if len(f.extents) >= maxExtents {
 		return ErrFragmented
 	}
-	start, err := fs.allocRun(need, 0)
+	start, err := fs.allocRun(ctx, need, 0)
 	if err != nil {
 		return err
 	}
@@ -619,9 +620,9 @@ func (fs *FS) ensureCapacity(f *fnode, want uint64) error {
 }
 
 // writeData writes p at off, growing the file.
-func (fs *FS) writeData(f *fnode, off uint64, p []byte) error {
+func (fs *FS) writeData(ctx klat.Ctx, f *fnode, off uint64, p []byte) error {
 	end := off + uint64(len(p))
-	if err := fs.ensureCapacity(f, (end+sectorSize-1)/sectorSize); err != nil {
+	if err := fs.ensureCapacity(ctx, f, (end+sectorSize-1)/sectorSize); err != nil {
 		return err
 	}
 	buf := make([]byte, sectorSize)
@@ -632,12 +633,12 @@ func (fs *FS) writeData(f *fnode, off uint64, p []byte) error {
 		if !ok {
 			return vfs.ErrBadOffset
 		}
-		if err := fs.dev.ReadSectors(sec, buf); err != nil {
+		if err := fs.dev.ReadSectorsCtx(ctx, sec, buf); err != nil {
 			return err
 		}
 		within := cur % sectorSize
 		c := copy(buf[within:], p[written:])
-		if err := fs.dev.WriteSectors(sec, buf); err != nil {
+		if err := fs.dev.WriteSectorsCtx(ctx, sec, buf); err != nil {
 			return err
 		}
 		written += uint64(c)
@@ -650,13 +651,13 @@ func (fs *FS) writeData(f *fnode, off uint64, p []byte) error {
 }
 
 // truncData shrinks the fnode to size bytes, freeing whole sectors.
-func (fs *FS) truncData(f *fnode, size uint64) error {
+func (fs *FS) truncData(ctx klat.Ctx, f *fnode, size uint64) error {
 	keep := (size + sectorSize - 1) / sectorSize
 	have := f.sectors()
 	for have > keep {
 		last := &f.extents[len(f.extents)-1]
 		s := uint64(last.start) + uint64(last.count) - 1
-		if err := fs.bitmapSet(s, false); err != nil {
+		if err := fs.bitmapSet(ctx, s, false); err != nil {
 			return err
 		}
 		last.count--
@@ -670,20 +671,20 @@ func (fs *FS) truncData(f *fnode, size uint64) error {
 }
 
 // ReadAt implements vfs.Vnode.
-func (n *node) ReadAt(p []byte, off int64) (int, error) {
+func (n *node) ReadAt(ctx klat.Ctx, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return 0, err
 	}
 	if f.dir {
 		return 0, vfs.ErrIsDir
 	}
-	data, err := n.fs.readData(&f, uint64(off), uint64(len(p)))
+	data, err := n.fs.readData(ctx, &f, uint64(off), uint64(len(p)))
 	if err != nil {
 		return 0, err
 	}
@@ -691,36 +692,36 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAt implements vfs.Vnode.
-func (n *node) WriteAt(p []byte, off int64) (int, error) {
+func (n *node) WriteAt(ctx klat.Ctx, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return 0, err
 	}
 	if f.dir {
 		return 0, vfs.ErrIsDir
 	}
-	if err := n.fs.writeData(&f, uint64(off), p); err != nil {
+	if err := n.fs.writeData(ctx, &f, uint64(off), p); err != nil {
 		return 0, err
 	}
-	if err := n.fs.writeFnode(n.idx, &f); err != nil {
+	if err := n.fs.writeFnode(ctx, n.idx, &f); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
 // Truncate implements vfs.Vnode.
-func (n *node) Truncate(size int64) error {
+func (n *node) Truncate(ctx klat.Ctx, size int64) error {
 	if size < 0 {
 		return vfs.ErrBadOffset
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return err
 	}
@@ -728,36 +729,36 @@ func (n *node) Truncate(size int64) error {
 		return vfs.ErrIsDir
 	}
 	if uint64(size) < f.size {
-		if err := n.fs.truncData(&f, uint64(size)); err != nil {
+		if err := n.fs.truncData(ctx, &f, uint64(size)); err != nil {
 			return err
 		}
 	} else {
 		f.size = uint64(size)
-		if err := n.fs.ensureCapacity(&f, (f.size+sectorSize-1)/sectorSize); err != nil {
+		if err := n.fs.ensureCapacity(ctx, &f, (f.size+sectorSize-1)/sectorSize); err != nil {
 			return err
 		}
 	}
-	return n.fs.writeFnode(n.idx, &f)
+	return n.fs.writeFnode(ctx, n.idx, &f)
 }
 
 // ReadDir implements vfs.Vnode.
-func (n *node) ReadDir() ([]vfs.DirEnt, error) {
+func (n *node) ReadDir(ctx klat.Ctx) ([]vfs.DirEnt, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return nil, err
 	}
 	if !f.dir {
 		return nil, vfs.ErrNotDir
 	}
-	kids, err := n.fs.children(&f)
+	kids, err := n.fs.children(ctx, &f)
 	if err != nil {
 		return nil, err
 	}
 	var out []vfs.DirEnt
 	for _, k := range kids {
-		cf, err := n.fs.readFnode(k)
+		cf, err := n.fs.readFnode(ctx, k)
 		if err != nil {
 			return nil, err
 		}
@@ -781,10 +782,10 @@ func eaSize(eas []ea) int {
 
 // SetEA implements vfs.Vnode.  The fnode sector bounds the EA area, a
 // genuine format limit like the real HPFS's 64 KiB EA cap.
-func (n *node) SetEA(key, value string) error {
+func (n *node) SetEA(ctx klat.Ctx, key, value string) error {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return err
 	}
@@ -807,14 +808,14 @@ func (n *node) SetEA(key, value string) error {
 		return ErrTooManyEAs
 	}
 	f.eas = updated
-	return n.fs.writeFnode(n.idx, &f)
+	return n.fs.writeFnode(ctx, n.idx, &f)
 }
 
 // GetEA implements vfs.Vnode.
-func (n *node) GetEA(key string) (string, error) {
+func (n *node) GetEA(ctx klat.Ctx, key string) (string, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readFnode(n.idx)
+	f, err := n.fs.readFnode(ctx, n.idx)
 	if err != nil {
 		return "", err
 	}

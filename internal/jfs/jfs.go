@@ -13,6 +13,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/klat"
 	"repro/internal/vfs"
 )
 
@@ -137,7 +138,7 @@ func (fs *FS) Mount(dev vfs.BlockDev) error {
 	fs.total = dev.Sectors()
 	fs.pending = make(map[uint64][]byte)
 	fs.dev = dev
-	return fs.replay()
+	return fs.replay(klat.Ctx{})
 }
 
 // Unmount implements vfs.Filesystem: commit the journal, then detach.
@@ -147,7 +148,7 @@ func (fs *FS) Unmount() error {
 	if fs.dev == nil {
 		return vfs.ErrNotMounted
 	}
-	if err := fs.syncLocked(); err != nil {
+	if err := fs.syncLocked(klat.Ctx{}); err != nil {
 		return err
 	}
 	fs.dev = vfs.DeadDev
@@ -185,12 +186,12 @@ func (fs *FS) journalCapacity() int {
 }
 
 // metaRead reads a metadata sector through the overlay.
-func (fs *FS) metaRead(sector uint64) ([]byte, error) {
+func (fs *FS) metaRead(ctx klat.Ctx, sector uint64) ([]byte, error) {
 	if b, ok := fs.pending[sector]; ok {
 		return append([]byte(nil), b...), nil
 	}
 	b := make([]byte, sectorSize)
-	if err := fs.dev.ReadSectors(sector, b); err != nil {
+	if err := fs.dev.ReadSectorsCtx(ctx, sector, b); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -216,11 +217,11 @@ func (fs *FS) dropPending(sector uint64) {
 }
 
 // metaWrite stages a metadata sector write in the overlay.
-func (fs *FS) metaWrite(sector uint64, b []byte) error {
+func (fs *FS) metaWrite(ctx klat.Ctx, sector uint64, b []byte) error {
 	if len(fs.pendingSq) >= fs.journalCapacity() {
 		// Auto-sync rather than fail: the real system checkpoints
 		// under pressure.
-		if err := fs.syncLocked(); err != nil {
+		if err := fs.syncLocked(ctx); err != nil {
 			return err
 		}
 	}
@@ -233,13 +234,13 @@ func (fs *FS) metaWrite(sector uint64, b []byte) error {
 
 // Sync implements vfs.FileSystem: commit the journal, write home, then
 // checkpoint.
-func (fs *FS) Sync() error {
+func (fs *FS) Sync(ctx klat.Ctx) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.syncLocked()
+	return fs.syncLocked(ctx)
 }
 
-func (fs *FS) syncLocked() error {
+func (fs *FS) syncLocked(ctx klat.Ctx) error {
 	if len(fs.pendingSq) == 0 {
 		return nil
 	}
@@ -254,7 +255,7 @@ func (fs *FS) syncLocked() error {
 		off += recSize
 	}
 	for i := uint64(0); i < fs.journalSecs-1; i++ {
-		if err := fs.dev.WriteSectors(fs.journalStart+1+i, raw[i*sectorSize:(i+1)*sectorSize]); err != nil {
+		if err := fs.dev.WriteSectorsCtx(ctx, fs.journalStart+1+i, raw[i*sectorSize:(i+1)*sectorSize]); err != nil {
 			return err
 		}
 	}
@@ -262,7 +263,7 @@ func (fs *FS) syncLocked() error {
 	hdr := make([]byte, sectorSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(fs.pendingSq)))
 	binary.LittleEndian.PutUint64(hdr[4:12], fs.seq)
-	if err := fs.dev.WriteSectors(fs.journalStart, hdr); err != nil {
+	if err := fs.dev.WriteSectorsCtx(ctx, fs.journalStart, hdr); err != nil {
 		return err
 	}
 	if fs.FailAfterCommit {
@@ -273,12 +274,12 @@ func (fs *FS) syncLocked() error {
 	}
 	// 3. Home writes.
 	for _, sector := range fs.pendingSq {
-		if err := fs.dev.WriteSectors(sector, fs.pending[sector]); err != nil {
+		if err := fs.dev.WriteSectorsCtx(ctx, sector, fs.pending[sector]); err != nil {
 			return err
 		}
 	}
 	// 4. Checkpoint: clear the header.
-	if err := fs.dev.WriteSectors(fs.journalStart, make([]byte, sectorSize)); err != nil {
+	if err := fs.dev.WriteSectorsCtx(ctx, fs.journalStart, make([]byte, sectorSize)); err != nil {
 		return err
 	}
 	fs.pending = make(map[uint64][]byte)
@@ -287,9 +288,9 @@ func (fs *FS) syncLocked() error {
 }
 
 // replay applies a committed journal at mount.
-func (fs *FS) replay() error {
+func (fs *FS) replay(ctx klat.Ctx) error {
 	hdr := make([]byte, sectorSize)
-	if err := fs.dev.ReadSectors(fs.journalStart, hdr); err != nil {
+	if err := fs.dev.ReadSectorsCtx(ctx, fs.journalStart, hdr); err != nil {
 		return err
 	}
 	count := int(binary.LittleEndian.Uint32(hdr[0:4]))
@@ -298,21 +299,21 @@ func (fs *FS) replay() error {
 	}
 	raw := make([]byte, (fs.journalSecs-1)*sectorSize)
 	for i := uint64(0); i < fs.journalSecs-1; i++ {
-		if err := fs.dev.ReadSectors(fs.journalStart+1+i, raw[i*sectorSize:(i+1)*sectorSize]); err != nil {
+		if err := fs.dev.ReadSectorsCtx(ctx, fs.journalStart+1+i, raw[i*sectorSize:(i+1)*sectorSize]); err != nil {
 			return err
 		}
 	}
 	off := 0
 	for i := 0; i < count; i++ {
 		sector := binary.LittleEndian.Uint64(raw[off+8:])
-		if err := fs.dev.WriteSectors(sector, raw[off+16:off+16+sectorSize]); err != nil {
+		if err := fs.dev.WriteSectorsCtx(ctx, sector, raw[off+16:off+16+sectorSize]); err != nil {
 			return err
 		}
 		off += recSize
 	}
 	fs.seq = binary.LittleEndian.Uint64(hdr[4:12])
 	// Checkpoint.
-	return fs.dev.WriteSectors(fs.journalStart, make([]byte, sectorSize))
+	return fs.dev.WriteSectorsCtx(ctx, fs.journalStart, make([]byte, sectorSize))
 }
 
 // PendingMetaWrites reports staged-but-uncommitted metadata sectors.
@@ -409,21 +410,21 @@ func decodeInode(b []byte) inode {
 	return f
 }
 
-func (fs *FS) readInode(idx uint32) (inode, error) {
-	b, err := fs.metaRead(fs.inodeStart + uint64(idx))
+func (fs *FS) readInode(ctx klat.Ctx, idx uint32) (inode, error) {
+	b, err := fs.metaRead(ctx, fs.inodeStart+uint64(idx))
 	if err != nil {
 		return inode{}, err
 	}
 	return decodeInode(b), nil
 }
 
-func (fs *FS) writeInode(idx uint32, f *inode) error {
-	return fs.metaWrite(fs.inodeStart+uint64(idx), f.encode())
+func (fs *FS) writeInode(ctx klat.Ctx, idx uint32, f *inode) error {
+	return fs.metaWrite(ctx, fs.inodeStart+uint64(idx), f.encode())
 }
 
-func (fs *FS) allocInode() (uint32, error) {
+func (fs *FS) allocInode(ctx klat.Ctx) (uint32, error) {
 	for i := uint32(1); uint64(i) < fs.inodeCount; i++ {
-		f, err := fs.readInode(i)
+		f, err := fs.readInode(ctx, i)
 		if err != nil {
 			return 0, err
 		}
@@ -436,9 +437,9 @@ func (fs *FS) allocInode() (uint32, error) {
 
 // --- bitmap (journaled) ---------------------------------------------------------
 
-func (fs *FS) bitmapGet(sector uint64) (bool, error) {
+func (fs *FS) bitmapGet(ctx klat.Ctx, sector uint64) (bool, error) {
 	sec := fs.bitmapStart + sector/(sectorSize*8)
-	b, err := fs.metaRead(sec)
+	b, err := fs.metaRead(ctx, sec)
 	if err != nil {
 		return false, err
 	}
@@ -446,9 +447,9 @@ func (fs *FS) bitmapGet(sector uint64) (bool, error) {
 	return b[i/8]&(1<<(i%8)) != 0, nil
 }
 
-func (fs *FS) bitmapSet(sector uint64, v bool) error {
+func (fs *FS) bitmapSet(ctx klat.Ctx, sector uint64, v bool) error {
 	sec := fs.bitmapStart + sector/(sectorSize*8)
-	b, err := fs.metaRead(sec)
+	b, err := fs.metaRead(ctx, sec)
 	if err != nil {
 		return err
 	}
@@ -458,14 +459,14 @@ func (fs *FS) bitmapSet(sector uint64, v bool) error {
 	} else {
 		b[i/8] &^= 1 << (i % 8)
 	}
-	return fs.metaWrite(sec, b)
+	return fs.metaWrite(ctx, sec, b)
 }
 
-func (fs *FS) allocRun(n uint64) (uint64, error) {
+func (fs *FS) allocRun(ctx klat.Ctx, n uint64) (uint64, error) {
 	run := uint64(0)
 	runStart := fs.dataStart
 	for s := fs.dataStart; s < fs.total; s++ {
-		used, err := fs.bitmapGet(s)
+		used, err := fs.bitmapGet(ctx, s)
 		if err != nil {
 			return 0, err
 		}
@@ -477,7 +478,7 @@ func (fs *FS) allocRun(n uint64) (uint64, error) {
 		run++
 		if run == n {
 			for x := runStart; x <= s; x++ {
-				if err := fs.bitmapSet(x, true); err != nil {
+				if err := fs.bitmapSet(ctx, x, true); err != nil {
 					return 0, err
 				}
 			}
@@ -507,7 +508,7 @@ func (f *inode) sectors() uint64 {
 	return n
 }
 
-func (fs *FS) ensureCapacity(f *inode, want uint64) error {
+func (fs *FS) ensureCapacity(ctx klat.Ctx, f *inode, want uint64) error {
 	have := f.sectors()
 	if have >= want {
 		return nil
@@ -517,14 +518,14 @@ func (fs *FS) ensureCapacity(f *inode, want uint64) error {
 		last := &f.extents[len(f.extents)-1]
 		nextSec := uint64(last.start) + uint64(last.count)
 		for need > 0 && nextSec < fs.total {
-			used, err := fs.bitmapGet(nextSec)
+			used, err := fs.bitmapGet(ctx, nextSec)
 			if err != nil {
 				return err
 			}
 			if used {
 				break
 			}
-			if err := fs.bitmapSet(nextSec, true); err != nil {
+			if err := fs.bitmapSet(ctx, nextSec, true); err != nil {
 				return err
 			}
 			last.count++
@@ -538,7 +539,7 @@ func (fs *FS) ensureCapacity(f *inode, want uint64) error {
 	if len(f.extents) >= maxExtents {
 		return ErrFragmented
 	}
-	start, err := fs.allocRun(need)
+	start, err := fs.allocRun(ctx, need)
 	if err != nil {
 		return err
 	}
@@ -548,7 +549,7 @@ func (fs *FS) ensureCapacity(f *inode, want uint64) error {
 
 // readData reads file/directory bytes; dir data goes through the meta
 // overlay so journaled directory updates are visible before checkpoint.
-func (fs *FS) readData(f *inode, off, n uint64, meta bool) ([]byte, error) {
+func (fs *FS) readData(ctx klat.Ctx, f *inode, off, n uint64, meta bool) ([]byte, error) {
 	if off >= f.size {
 		return nil, nil
 	}
@@ -564,10 +565,10 @@ func (fs *FS) readData(f *inode, off, n uint64, meta bool) ([]byte, error) {
 		var buf []byte
 		var err error
 		if meta {
-			buf, err = fs.metaRead(sec)
+			buf, err = fs.metaRead(ctx, sec)
 		} else {
 			buf = make([]byte, sectorSize)
-			err = fs.dev.ReadSectors(sec, buf)
+			err = fs.dev.ReadSectorsCtx(ctx, sec, buf)
 		}
 		if err != nil {
 			return nil, err
@@ -584,9 +585,9 @@ func (fs *FS) readData(f *inode, off, n uint64, meta bool) ([]byte, error) {
 	return out, nil
 }
 
-func (fs *FS) writeData(f *inode, off uint64, p []byte, meta bool) error {
+func (fs *FS) writeData(ctx klat.Ctx, f *inode, off uint64, p []byte, meta bool) error {
 	end := off + uint64(len(p))
-	if err := fs.ensureCapacity(f, (end+sectorSize-1)/sectorSize); err != nil {
+	if err := fs.ensureCapacity(ctx, f, (end+sectorSize-1)/sectorSize); err != nil {
 		return err
 	}
 	written := uint64(0)
@@ -599,19 +600,19 @@ func (fs *FS) writeData(f *inode, off uint64, p []byte, meta bool) error {
 		var buf []byte
 		var err error
 		if meta {
-			buf, err = fs.metaRead(sec)
+			buf, err = fs.metaRead(ctx, sec)
 		} else {
 			buf = make([]byte, sectorSize)
-			err = fs.dev.ReadSectors(sec, buf)
+			err = fs.dev.ReadSectorsCtx(ctx, sec, buf)
 		}
 		if err != nil {
 			return err
 		}
 		c := copy(buf[cur%sectorSize:], p[written:])
 		if meta {
-			err = fs.metaWrite(sec, buf)
+			err = fs.metaWrite(ctx, sec, buf)
 		} else {
-			err = fs.dev.WriteSectors(sec, buf)
+			err = fs.dev.WriteSectorsCtx(ctx, sec, buf)
 		}
 		if err != nil {
 			return err
@@ -625,13 +626,13 @@ func (fs *FS) writeData(f *inode, off uint64, p []byte, meta bool) error {
 	return nil
 }
 
-func (fs *FS) truncData(f *inode, size uint64) error {
+func (fs *FS) truncData(ctx klat.Ctx, f *inode, size uint64) error {
 	keep := (size + sectorSize - 1) / sectorSize
 	have := f.sectors()
 	for have > keep {
 		last := &f.extents[len(f.extents)-1]
 		s := uint64(last.start) + uint64(last.count) - 1
-		if err := fs.bitmapSet(s, false); err != nil {
+		if err := fs.bitmapSet(ctx, s, false); err != nil {
 			return err
 		}
 		fs.dropPending(s)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/klat"
 	"repro/internal/vfs"
 )
 
@@ -30,17 +31,17 @@ func TestMountUnformatted(t *testing.T) {
 func TestCaseSensitiveNames(t *testing.T) {
 	fs, _ := newFS(t)
 	root := fs.Root()
-	if _, err := root.Create("Makefile", false); err != nil {
+	if _, err := root.Create(klat.Ctx{}, "Makefile", false); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := root.Lookup("makefile"); err != vfs.ErrNotFound {
+	if _, err := root.Lookup(klat.Ctx{}, "makefile"); err != vfs.ErrNotFound {
 		t.Fatalf("case variant should be distinct: %v", err)
 	}
 	// And can coexist — the UNIX expectation FAT/HPFS cannot express.
-	if _, err := root.Create("makefile", false); err != nil {
+	if _, err := root.Create(klat.Ctx{}, "makefile", false); err != nil {
 		t.Fatalf("coexisting variant: %v", err)
 	}
-	ents, _ := root.ReadDir()
+	ents, _ := root.ReadDir(klat.Ctx{})
 	if len(ents) != 2 {
 		t.Fatalf("ents = %v", ents)
 	}
@@ -48,20 +49,20 @@ func TestCaseSensitiveNames(t *testing.T) {
 
 func TestBasicIO(t *testing.T) {
 	fs, _ := newFS(t)
-	f, _ := fs.Root().Create("data.bin", false)
+	f, _ := fs.Root().Create(klat.Ctx{}, "data.bin", false)
 	payload := bytes.Repeat([]byte{0x5C, 3}, 5000)
-	if _, err := f.WriteAt(payload, 0); err != nil {
+	if _, err := f.WriteAt(klat.Ctx{}, payload, 0); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	got := make([]byte, len(payload))
-	n, err := f.ReadAt(got, 0)
+	n, err := f.ReadAt(klat.Ctx{}, got, 0)
 	if err != nil || n != len(payload) || !bytes.Equal(got, payload) {
 		t.Fatalf("read back: %d %v", n, err)
 	}
-	if err := f.Truncate(100); err != nil {
+	if err := f.Truncate(klat.Ctx{}, 100); err != nil {
 		t.Fatalf("Truncate: %v", err)
 	}
-	a, _ := f.Attr()
+	a, _ := f.Attr(klat.Ctx{})
 	if a.Size != 100 {
 		t.Fatalf("size = %d", a.Size)
 	}
@@ -70,7 +71,7 @@ func TestBasicIO(t *testing.T) {
 func TestJournalReplayAfterCrash(t *testing.T) {
 	fs, dev := newFS(t)
 	root := fs.Root()
-	if _, err := root.Create("precious.txt", false); err != nil {
+	if _, err := root.Create(klat.Ctx{}, "precious.txt", false); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
 	if fs.PendingMetaWrites() == 0 {
@@ -78,7 +79,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	}
 	// Crash after journal commit but before home writes.
 	fs.FailAfterCommit = true
-	if err := fs.Sync(); err != nil {
+	if err := fs.Sync(klat.Ctx{}); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	// A remount without replay would not see the file: verify the home
@@ -94,7 +95,7 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
-	if _, err := fs2.Root().Lookup("precious.txt"); err != nil {
+	if _, err := fs2.Root().Lookup(klat.Ctx{}, "precious.txt"); err != nil {
 		t.Fatalf("file lost despite committed journal: %v", err)
 	}
 	// The journal is checkpointed after replay: a third mount does not
@@ -103,48 +104,48 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("third mount: %v", err)
 	}
-	if _, err := fs3.Root().Lookup("precious.txt"); err != nil {
+	if _, err := fs3.Root().Lookup(klat.Ctx{}, "precious.txt"); err != nil {
 		t.Fatalf("file lost after checkpoint: %v", err)
 	}
 }
 
 func TestUncommittedChangesLostOnCrash(t *testing.T) {
 	fs, dev := newFS(t)
-	fs.Root().Create("never-synced.txt", false)
+	fs.Root().Create(klat.Ctx{}, "never-synced.txt", false)
 	// Crash with no Sync at all: overlay discarded.
 	fs2, err := Mount(dev)
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
-	if _, err := fs2.Root().Lookup("never-synced.txt"); err != vfs.ErrNotFound {
+	if _, err := fs2.Root().Lookup(klat.Ctx{}, "never-synced.txt"); err != vfs.ErrNotFound {
 		t.Fatalf("uncommitted create should be lost, got %v", err)
 	}
 }
 
 func TestSyncDurability(t *testing.T) {
 	fs, dev := newFS(t)
-	d, _ := fs.Root().Create("dir", true)
-	f, _ := d.Create("file", false)
-	f.WriteAt([]byte("durable"), 0)
-	f.SetEA("owner", "root")
-	if err := fs.Sync(); err != nil {
+	d, _ := fs.Root().Create(klat.Ctx{}, "dir", true)
+	f, _ := d.Create(klat.Ctx{}, "file", false)
+	f.WriteAt(klat.Ctx{}, []byte("durable"), 0)
+	f.SetEA(klat.Ctx{}, "owner", "root")
+	if err := fs.Sync(klat.Ctx{}); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	fs2, _ := Mount(dev)
-	d2, err := fs2.Root().Lookup("dir")
+	d2, err := fs2.Root().Lookup(klat.Ctx{}, "dir")
 	if err != nil {
 		t.Fatalf("dir: %v", err)
 	}
-	f2, err := d2.Lookup("file")
+	f2, err := d2.Lookup(klat.Ctx{}, "file")
 	if err != nil {
 		t.Fatalf("file: %v", err)
 	}
 	buf := make([]byte, 7)
-	f2.ReadAt(buf, 0)
+	f2.ReadAt(klat.Ctx{}, buf, 0)
 	if string(buf) != "durable" {
 		t.Fatalf("data = %q", buf)
 	}
-	if v, _ := f2.GetEA("owner"); v != "root" {
+	if v, _ := f2.GetEA(klat.Ctx{}, "owner"); v != "root" {
 		t.Fatalf("EA = %q", v)
 	}
 }
@@ -156,11 +157,11 @@ func TestJournalAutoSyncUnderPressure(t *testing.T) {
 	// intermediate checkpoints rather than failure.
 	for i := 0; i < 80; i++ {
 		name := "f" + strings.Repeat("x", i%5) + string(rune('0'+i%10)) + string(rune('a'+i/10))
-		if _, err := root.Create(name, false); err != nil {
+		if _, err := root.Create(klat.Ctx{}, name, false); err != nil {
 			t.Fatalf("create %d: %v", i, err)
 		}
 	}
-	if err := fs.Sync(); err != nil {
+	if err := fs.Sync(klat.Ctx{}); err != nil {
 		t.Fatalf("final sync: %v", err)
 	}
 }
@@ -168,19 +169,19 @@ func TestJournalAutoSyncUnderPressure(t *testing.T) {
 func TestRemoveAndReuse(t *testing.T) {
 	fs, _ := newFS(t)
 	root := fs.Root()
-	f, _ := root.Create("tmp", false)
-	f.WriteAt(make([]byte, 30*512), 0)
-	if err := root.Remove("tmp"); err != nil {
+	f, _ := root.Create(klat.Ctx{}, "tmp", false)
+	f.WriteAt(klat.Ctx{}, make([]byte, 30*512), 0)
+	if err := root.Remove(klat.Ctx{}, "tmp"); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if _, err := root.Lookup("tmp"); err != vfs.ErrNotFound {
+	if _, err := root.Lookup(klat.Ctx{}, "tmp"); err != vfs.ErrNotFound {
 		t.Fatal("file survived")
 	}
-	g, err := root.Create("tmp2", false)
+	g, err := root.Create(klat.Ctx{}, "tmp2", false)
 	if err != nil {
 		t.Fatalf("recreate: %v", err)
 	}
-	if _, err := g.WriteAt(make([]byte, 30*512), 0); err != nil {
+	if _, err := g.WriteAt(klat.Ctx{}, make([]byte, 30*512), 0); err != nil {
 		t.Fatalf("rewrite into freed space: %v", err)
 	}
 }
@@ -188,10 +189,10 @@ func TestRemoveAndReuse(t *testing.T) {
 func TestDirOpsVisibleThroughOverlayBeforeSync(t *testing.T) {
 	fs, _ := newFS(t)
 	root := fs.Root()
-	root.Create("a", false)
-	root.Create("b", true)
+	root.Create(klat.Ctx{}, "a", false)
+	root.Create(klat.Ctx{}, "b", true)
 	// No Sync yet: directory reads must see the overlay.
-	ents, err := root.ReadDir()
+	ents, err := root.ReadDir(klat.Ctx{})
 	if err != nil || len(ents) != 2 {
 		t.Fatalf("ReadDir: %v %v", ents, err)
 	}
@@ -231,18 +232,18 @@ func TestPropertyDurableAfterSync(t *testing.T) {
 					body = body[:2000]
 				}
 			}
-			f, err := root.Create(nm, false)
+			f, err := root.Create(klat.Ctx{}, nm, false)
 			if err != nil {
 				return false
 			}
 			if len(body) > 0 {
-				if _, err := f.WriteAt(body, 0); err != nil {
+				if _, err := f.WriteAt(klat.Ctx{}, body, 0); err != nil {
 					return false
 				}
 			}
 			want[nm] = body
 		}
-		if err := fs.Sync(); err != nil {
+		if err := fs.Sync(klat.Ctx{}); err != nil {
 			return false
 		}
 		fs2, err := Mount(dev)
@@ -250,13 +251,13 @@ func TestPropertyDurableAfterSync(t *testing.T) {
 			return false
 		}
 		for nm, body := range want {
-			v, err := fs2.Root().Lookup(nm)
+			v, err := fs2.Root().Lookup(klat.Ctx{}, nm)
 			if err != nil {
 				return false
 			}
 			got := make([]byte, len(body))
 			if len(body) > 0 {
-				n, err := v.ReadAt(got, 0)
+				n, err := v.ReadAt(klat.Ctx{}, got, 0)
 				if err != nil || n != len(body) || !bytes.Equal(got, body) {
 					return false
 				}
@@ -280,28 +281,28 @@ func TestStaleJournalEntryAfterSectorFree(t *testing.T) {
 	root := fs.Root()
 
 	// Build a directory whose data sector lands in the journal overlay.
-	dv, err := root.Create("d", true)
+	dv, err := root.Create(klat.Ctx{}, "d", true)
 	if err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}
 	for _, name := range []string{"a", "b", "c"} {
-		if _, err := dv.Create(name, false); err != nil {
+		if _, err := dv.Create(klat.Ctx{}, name, false); err != nil {
 			t.Fatalf("create d/%s: %v", name, err)
 		}
 	}
 	// Empty and remove the directory: its data sector is freed while its
 	// staged content is still pending in the overlay.
 	for _, name := range []string{"a", "b", "c"} {
-		if err := dv.Remove(name); err != nil {
+		if err := dv.Remove(klat.Ctx{}, name); err != nil {
 			t.Fatalf("remove d/%s: %v", name, err)
 		}
 	}
-	if err := root.Remove("d"); err != nil {
+	if err := root.Remove(klat.Ctx{}, "d"); err != nil {
 		t.Fatalf("rmdir d: %v", err)
 	}
 
 	// Reallocate the freed sector for plain file data.
-	fv, err := root.Create("f", false)
+	fv, err := root.Create(klat.Ctx{}, "f", false)
 	if err != nil {
 		t.Fatalf("create f: %v", err)
 	}
@@ -309,17 +310,17 @@ func TestStaleJournalEntryAfterSectorFree(t *testing.T) {
 	for i := range want {
 		want[i] ^= byte(i)
 	}
-	if _, err := fv.WriteAt(want, 0); err != nil {
+	if _, err := fv.WriteAt(klat.Ctx{}, want, 0); err != nil {
 		t.Fatalf("write f: %v", err)
 	}
 
 	// The sync's home-write pass must not resurrect the dead directory's
 	// bytes over the file.
-	if err := fs.Sync(); err != nil {
+	if err := fs.Sync(klat.Ctx{}); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	got := make([]byte, len(want))
-	if _, err := fv.ReadAt(got, 0); err != nil {
+	if _, err := fv.ReadAt(klat.Ctx{}, got, 0); err != nil {
 		t.Fatalf("read f: %v", err)
 	}
 	if !bytes.Equal(got, want) {

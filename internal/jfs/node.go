@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"strings"
 
+	"repro/internal/klat"
 	"repro/internal/vfs"
 )
 
@@ -16,10 +17,10 @@ type node struct {
 var _ vfs.Vnode = (*node)(nil)
 
 // Attr implements vfs.Vnode.
-func (n *node) Attr() (vfs.Attr, error) {
+func (n *node) Attr(ctx klat.Ctx) (vfs.Attr, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -33,8 +34,8 @@ func (n *node) Attr() (vfs.Attr, error) {
 	return a, nil
 }
 
-func (fs *FS) children(f *inode) ([]uint32, error) {
-	data, err := fs.readData(f, 0, f.size, true)
+func (fs *FS) children(ctx klat.Ctx, f *inode) ([]uint32, error) {
+	data, err := fs.readData(ctx, f, 0, f.size, true)
 	if err != nil {
 		return nil, err
 	}
@@ -46,26 +47,26 @@ func (fs *FS) children(f *inode) ([]uint32, error) {
 }
 
 // Lookup implements vfs.Vnode with JFS's case-sensitive match.
-func (n *node) Lookup(name string) (vfs.Vnode, error) {
+func (n *node) Lookup(ctx klat.Ctx, name string) (vfs.Vnode, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	return n.lookupLocked(name)
+	return n.lookupLocked(ctx, name)
 }
 
-func (n *node) lookupLocked(name string) (vfs.Vnode, error) {
-	f, err := n.fs.readInode(n.idx)
+func (n *node) lookupLocked(ctx klat.Ctx, name string) (vfs.Vnode, error) {
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return nil, err
 	}
 	if !f.dir {
 		return nil, vfs.ErrNotDir
 	}
-	kids, err := n.fs.children(&f)
+	kids, err := n.fs.children(ctx, &f)
 	if err != nil {
 		return nil, err
 	}
 	for _, k := range kids {
-		cf, err := n.fs.readInode(k)
+		cf, err := n.fs.readInode(ctx, k)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +79,7 @@ func (n *node) lookupLocked(name string) (vfs.Vnode, error) {
 
 // Create implements vfs.Vnode.  The whole operation is one journaled
 // metadata transaction.
-func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
+func (n *node) Create(ctx klat.Ctx, name string, dir bool) (vfs.Vnode, error) {
 	if len(name) > MaxName {
 		return nil, vfs.ErrNameTooLong
 	}
@@ -87,55 +88,55 @@ func (n *node) Create(name string, dir bool) (vfs.Vnode, error) {
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	if _, err := n.lookupLocked(name); err == nil {
+	if _, err := n.lookupLocked(ctx, name); err == nil {
 		return nil, vfs.ErrExists
 	}
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return nil, err
 	}
 	if !f.dir {
 		return nil, vfs.ErrNotDir
 	}
-	idx, err := n.fs.allocInode()
+	idx, err := n.fs.allocInode(ctx)
 	if err != nil {
 		return nil, err
 	}
 	nf := inode{used: true, dir: dir, name: name}
-	if err := n.fs.writeInode(idx, &nf); err != nil {
+	if err := n.fs.writeInode(ctx, idx, &nf); err != nil {
 		return nil, err
 	}
 	var rec [4]byte
 	binary.LittleEndian.PutUint32(rec[:], idx)
-	if err := n.fs.writeData(&f, f.size, rec[:], true); err != nil {
+	if err := n.fs.writeData(ctx, &f, f.size, rec[:], true); err != nil {
 		return nil, err
 	}
-	if err := n.fs.writeInode(n.idx, &f); err != nil {
+	if err := n.fs.writeInode(ctx, n.idx, &f); err != nil {
 		return nil, err
 	}
 	return &node{fs: n.fs, idx: idx}, nil
 }
 
 // Remove implements vfs.Vnode.
-func (n *node) Remove(name string) error {
+func (n *node) Remove(ctx klat.Ctx, name string) error {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	child, err := n.lookupLocked(name)
+	child, err := n.lookupLocked(ctx, name)
 	if err != nil {
 		return err
 	}
 	cn := child.(*node)
-	cf, err := n.fs.readInode(cn.idx)
+	cf, err := n.fs.readInode(ctx, cn.idx)
 	if err != nil {
 		return err
 	}
 	if cf.dir && cf.size > 0 {
-		kids, err := n.fs.children(&cf)
+		kids, err := n.fs.children(ctx, &cf)
 		if err != nil {
 			return err
 		}
 		for _, k := range kids {
-			kf, err := n.fs.readInode(k)
+			kf, err := n.fs.readInode(ctx, k)
 			if err != nil {
 				return err
 			}
@@ -146,7 +147,7 @@ func (n *node) Remove(name string) error {
 	}
 	for _, e := range cf.extents {
 		for s := uint64(e.start); s < uint64(e.start)+uint64(e.count); s++ {
-			if err := n.fs.bitmapSet(s, false); err != nil {
+			if err := n.fs.bitmapSet(ctx, s, false); err != nil {
 				return err
 			}
 			// A removed directory's journaled data sectors must leave
@@ -156,14 +157,14 @@ func (n *node) Remove(name string) error {
 		}
 	}
 	cf = inode{}
-	if err := n.fs.writeInode(cn.idx, &cf); err != nil {
+	if err := n.fs.writeInode(ctx, cn.idx, &cf); err != nil {
 		return err
 	}
-	pf, err := n.fs.readInode(n.idx)
+	pf, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return err
 	}
-	kids, err := n.fs.children(&pf)
+	kids, err := n.fs.children(ctx, &pf)
 	if err != nil {
 		return err
 	}
@@ -176,32 +177,32 @@ func (n *node) Remove(name string) error {
 		binary.LittleEndian.PutUint32(rec[:], k)
 		buf = append(buf, rec[:]...)
 	}
-	if err := n.fs.truncData(&pf, 0); err != nil {
+	if err := n.fs.truncData(ctx, &pf, 0); err != nil {
 		return err
 	}
 	if len(buf) > 0 {
-		if err := n.fs.writeData(&pf, 0, buf, true); err != nil {
+		if err := n.fs.writeData(ctx, &pf, 0, buf, true); err != nil {
 			return err
 		}
 	}
-	return n.fs.writeInode(n.idx, &pf)
+	return n.fs.writeInode(ctx, n.idx, &pf)
 }
 
 // ReadAt implements vfs.Vnode.
-func (n *node) ReadAt(p []byte, off int64) (int, error) {
+func (n *node) ReadAt(ctx klat.Ctx, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return 0, err
 	}
 	if f.dir {
 		return 0, vfs.ErrIsDir
 	}
-	data, err := n.fs.readData(&f, uint64(off), uint64(len(p)), false)
+	data, err := n.fs.readData(ctx, &f, uint64(off), uint64(len(p)), false)
 	if err != nil {
 		return 0, err
 	}
@@ -209,36 +210,36 @@ func (n *node) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAt implements vfs.Vnode: data direct, size/extents journaled.
-func (n *node) WriteAt(p []byte, off int64) (int, error) {
+func (n *node) WriteAt(ctx klat.Ctx, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrBadOffset
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return 0, err
 	}
 	if f.dir {
 		return 0, vfs.ErrIsDir
 	}
-	if err := n.fs.writeData(&f, uint64(off), p, false); err != nil {
+	if err := n.fs.writeData(ctx, &f, uint64(off), p, false); err != nil {
 		return 0, err
 	}
-	if err := n.fs.writeInode(n.idx, &f); err != nil {
+	if err := n.fs.writeInode(ctx, n.idx, &f); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
 // Truncate implements vfs.Vnode.
-func (n *node) Truncate(size int64) error {
+func (n *node) Truncate(ctx klat.Ctx, size int64) error {
 	if size < 0 {
 		return vfs.ErrBadOffset
 	}
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return err
 	}
@@ -246,36 +247,36 @@ func (n *node) Truncate(size int64) error {
 		return vfs.ErrIsDir
 	}
 	if uint64(size) < f.size {
-		if err := n.fs.truncData(&f, uint64(size)); err != nil {
+		if err := n.fs.truncData(ctx, &f, uint64(size)); err != nil {
 			return err
 		}
 	} else {
 		f.size = uint64(size)
-		if err := n.fs.ensureCapacity(&f, (f.size+sectorSize-1)/sectorSize); err != nil {
+		if err := n.fs.ensureCapacity(ctx, &f, (f.size+sectorSize-1)/sectorSize); err != nil {
 			return err
 		}
 	}
-	return n.fs.writeInode(n.idx, &f)
+	return n.fs.writeInode(ctx, n.idx, &f)
 }
 
 // ReadDir implements vfs.Vnode.
-func (n *node) ReadDir() ([]vfs.DirEnt, error) {
+func (n *node) ReadDir(ctx klat.Ctx) ([]vfs.DirEnt, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return nil, err
 	}
 	if !f.dir {
 		return nil, vfs.ErrNotDir
 	}
-	kids, err := n.fs.children(&f)
+	kids, err := n.fs.children(ctx, &f)
 	if err != nil {
 		return nil, err
 	}
 	var out []vfs.DirEnt
 	for _, k := range kids {
-		cf, err := n.fs.readInode(k)
+		cf, err := n.fs.readInode(ctx, k)
 		if err != nil {
 			return nil, err
 		}
@@ -298,10 +299,10 @@ func eaSize(eas []ea) int {
 }
 
 // SetEA implements vfs.Vnode.
-func (n *node) SetEA(key, value string) error {
+func (n *node) SetEA(ctx klat.Ctx, key, value string) error {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return err
 	}
@@ -324,14 +325,14 @@ func (n *node) SetEA(key, value string) error {
 		return ErrTooManyEAs
 	}
 	f.eas = updated
-	return n.fs.writeInode(n.idx, &f)
+	return n.fs.writeInode(ctx, n.idx, &f)
 }
 
 // GetEA implements vfs.Vnode.
-func (n *node) GetEA(key string) (string, error) {
+func (n *node) GetEA(ctx klat.Ctx, key string) (string, error) {
 	n.fs.mu.Lock()
 	defer n.fs.mu.Unlock()
-	f, err := n.fs.readInode(n.idx)
+	f, err := n.fs.readInode(ctx, n.idx)
 	if err != nil {
 		return "", err
 	}

@@ -8,10 +8,10 @@
 //
 //   - A per-engine bounded ring of the last K events (RPC dispatch and
 //     outcome, server receives, scheduler dispatches, cache traffic, VM
-//     faults), reusing ktrace's event codes but always-on and lock-free:
-//     each ring is a slot array of atomic pointers indexed by an atomic
-//     sequence, so concurrent emitters never contend on a mutex and a
-//     snapshot is a pointer sweep.
+//     faults), reusing ktrace's event codes but always-on and
+//     allocation-free: each ring is a slot array of Events stored by
+//     value under one short per-engine mutex, so an emit is a struct
+//     copy and a snapshot is one locked sweep.
 //   - The wait-for graph: internal/mach registers what every blocked
 //     thread waits on (port rendezvous, reply exchange, pool receive,
 //     queued IPC) and kflight materializes the edges and runs cycle
@@ -29,9 +29,7 @@
 package kflight
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/ktrace"
@@ -68,42 +66,54 @@ func (e Event) TypeName() string { return e.Type.String() }
 // last moments before a stall, not a full trace (ktrace does that).
 const DefaultRingSize = 512
 
-// ring is one engine's lock-free bounded event buffer.  Writers reserve a
-// slot with one atomic add and publish the immutable event with one
-// atomic pointer store; readers sweep the pointers.  A reader racing a
-// wrap can observe a slot's old and new occupant across two sweeps —
-// snapshots sort by Seq and the watchdog only runs when nothing
-// progresses, so the approximation never matters where dumps are taken.
+// ring is one engine's bounded event buffer.  Events live in the slot
+// array by value: a writer stamps the next sequence number and copies
+// the event into its slot under the ring's mutex, so emitting never
+// allocates, and a snapshot under the same mutex sees every slot whole.
+// The critical section is a struct copy; emitters on one engine are
+// mostly one thread at a time, so the lock is all but uncontended.
 type ring struct {
-	seq   atomic.Uint64
-	slots []atomic.Pointer[Event]
+	mu    sync.Mutex
+	seq   uint64 // events ever emitted; the next event's Seq
+	slots []Event
 }
 
-func (r *ring) put(e *Event) {
-	e.Seq = r.seq.Add(1) - 1
-	r.slots[int(e.Seq%uint64(len(r.slots)))].Store(e)
+func (r *ring) put(e Event) {
+	r.mu.Lock()
+	e.Seq = r.seq
+	r.seq++
+	r.slots[int(e.Seq%uint64(len(r.slots)))] = e
+	r.mu.Unlock()
+}
+
+// emitted reports the events ever put.
+func (r *ring) emitted() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq
 }
 
 // snapshot returns the buffered events oldest-first plus the
 // emitted/dropped totals.
 func (r *ring) snapshot() (events []Event, emitted, dropped uint64) {
-	emitted = r.seq.Load()
-	events = make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		if e := r.slots[i].Load(); e != nil {
-			events = append(events, *e)
-		}
+	r.mu.Lock()
+	emitted = r.seq
+	n := uint64(len(r.slots))
+	live := min(emitted, n)
+	events = make([]Event, 0, live)
+	for s := emitted - live; s < emitted; s++ {
+		events = append(events, r.slots[int(s%n)])
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	if n := uint64(len(r.slots)); emitted > n {
+	r.mu.Unlock()
+	if emitted > n {
 		dropped = emitted - n
 	}
 	return events, emitted, dropped
 }
 
 // Recorder is the always-on flight recorder for one kernel: a bounded
-// lock-free event ring per engine.  All methods are safe for concurrent
-// use from every emitting thread.
+// event ring per engine.  All methods are safe for concurrent use from
+// every emitting thread.
 type Recorder struct {
 	eng   *cpu.Engine
 	rings []*ring
@@ -121,7 +131,7 @@ func NewRecorder(eng *cpu.Engine, capacity int) *Recorder {
 	}
 	r := &Recorder{eng: eng, rings: make([]*ring, n)}
 	for i := range r.rings {
-		r.rings[i] = &ring{slots: make([]atomic.Pointer[Event], capacity)}
+		r.rings[i] = &ring{slots: make([]Event, capacity)}
 	}
 	return r
 }
@@ -137,7 +147,7 @@ func (r *Recorder) Engines() int { return len(r.rings) }
 
 // Emit records one event on the emitting thread's current engine.
 // Observation-only: it reads the engine's counters, charges nothing, and
-// takes no locks.
+// allocates nothing.
 func (r *Recorder) Emit(typ ktrace.EventType, subsystem, name string, arg uint64) {
 	slot := r.eng.CurrentSlot()
 	if slot < 0 || slot >= len(r.rings) {
@@ -149,7 +159,7 @@ func (r *Recorder) Emit(typ ktrace.EventType, subsystem, name string, arg uint64
 	} else {
 		cyc = r.eng.Counters().Cycles
 	}
-	r.rings[slot].put(&Event{
+	r.rings[slot].put(Event{
 		Engine: slot, Type: typ, Subsystem: subsystem, Name: name,
 		Arg: arg, Cycles: cyc,
 	})
@@ -170,7 +180,7 @@ func (r *Recorder) Emitted(slot int) uint64 {
 	if slot < 0 || slot >= len(r.rings) {
 		return 0
 	}
-	return r.rings[slot].seq.Load()
+	return r.rings[slot].emitted()
 }
 
 // EngineDumps snapshots every ring for a postmortem dump.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kstat"
 	"repro/internal/ktrace"
+	"repro/internal/race"
 )
 
 // sampleSnapshot builds a kstat snapshot with one busy gauge set, for
@@ -212,5 +213,19 @@ func TestDumpRoundTripAndText(t *testing.T) {
 	Diff(&diff, d, back)
 	if !strings.Contains(diff.String(), "wait edges: 2 -> 2") {
 		t.Errorf("diff missing wait-edge line:\n%s", diff.String())
+	}
+}
+
+// TestEmitAllocFree: the ring stores events by value, so the always-on
+// hook allocates nothing — before and after the ring wraps.
+func TestEmitAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r := NewRecorder(cpu.NewEngine(cpu.Pentium133()), 8)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Emit(ktrace.EvRPC, "mach.rpc", "call:fileserver", 0x0f02)
+	}); n != 0 {
+		t.Fatalf("Emit allocates %.1f objects, want 0", n)
 	}
 }

@@ -139,9 +139,9 @@ func (t *Tracker) Dump() *Dump {
 func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 	d := HopDump{
 		ID: h.ID, Server: h.Server, Op: h.Op, Width: h.Width, Sub: h.Sub,
-		Off:     h.stamps[h.start()].cycles.Load() - rootStart,
-		E2E:     h.E2E(),
-		Service: h.seg(pRecv, pServed),
+		Off:      h.stamps[h.start()].cycles.Load() - rootStart,
+		E2E:      h.E2E(),
+		Service:  h.seg(pRecv, pServed),
 		Critical: critical,
 	}
 	if !h.Sub {
@@ -161,19 +161,23 @@ func (t *Tracker) dumpHop(h *Hop, rootStart uint64, critical bool) HopDump {
 	d.SchedBurst = h.schedBurst
 	d.SchedPoolWait = h.schedPoolWait
 	d.SchedCPUWait = h.schedCPUWait
-	if len(h.marks) > 0 {
-		d.Marks = make(map[string]uint64, len(h.marks))
-		for k, v := range h.marks {
-			d.Marks[k] = v
-		}
-	}
-	if len(h.notes) > 0 {
-		d.Notes = make(map[string]uint64, len(h.notes))
-		for k, v := range h.notes {
-			d.Notes[k] = v
-		}
-	}
 	h.mu.Unlock()
+	for w := range h.marked {
+		if h.marked[w].Load() {
+			if d.Marks == nil {
+				d.Marks = make(map[string]uint64)
+			}
+			d.Marks[waitNames[w]] = h.marks[w].Load()
+		}
+	}
+	for k := range h.notes {
+		if v := h.notes[k].Load(); v > 0 {
+			if d.Notes == nil {
+				d.Notes = make(map[string]uint64)
+			}
+			d.Notes[noteNames[k]] = v
+		}
+	}
 
 	// Critical-path reduction: sequential children (nested calls) are
 	// all on the path, but a carrier's subs overlap one crossing — only

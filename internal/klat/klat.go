@@ -29,15 +29,21 @@
 //
 // # Propagation
 //
-// The hop pointer rides in the mach message header (see Message.lat),
-// so the server side of a crossing stamps the same ledger the client
-// opened.  Within a handler, propagation is by goroutine: dispatchReply
-// binds the hop to the serving goroutine, nested Calls made by the
-// handler attach as child hops, and the waits a subsystem wants named
-// (the buffer-cache lock, the disk arm) mark the bound hop.  A child's
-// window nests inside its parent's service window (the chain is
-// synchronous), so OwnService = Service − Σ child E2E never underflows
-// and the whole tree still sums exactly.
+// A request's context is explicit: a Ctx names the hop being served,
+// and the zero Ctx names none (a detached plane, boot-time work, a
+// client entry point).  The context rides in the mach message header
+// (see Message.Context), so the server side of a crossing stamps the
+// same ledger the client opened.  While a handler runs, dispatch also
+// lends the context to the serving thread, so a nested Call made
+// through that thread attaches as a child hop without any lookup.
+// Work that leaves the serving thread — the file server's shared disk
+// thread, the registry's profile-io thread — carries the context as an
+// argument (a Ctx parameter, or CallOpts.Ctx on the Call), and the
+// waits a subsystem wants named (the buffer-cache lock, the disk arm)
+// mark the hop of the context they were handed.  A child's window
+// nests inside its parent's service window (the chain is synchronous),
+// so OwnService = Service − Σ child E2E never underflows and the whole
+// tree still sums exactly.
 //
 // Vectored carriers get one hop for the crossing plus a sub-hop per
 // demultiplexed sub-request (service window only — subs share the
@@ -61,7 +67,6 @@
 package klat
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -132,10 +137,16 @@ type Hop struct {
 	stamps [numStamps]stamp
 	sealed atomic.Bool
 
+	// Named waits and annotation counts, one fixed slot per kind so a
+	// mark or note costs an atomic add and never allocates.  marked
+	// records which waits were ever entered: a wait that cost zero
+	// cycles still names itself in the ledger.
+	marks  [numWaits]atomic.Uint64
+	marked [numWaits]atomic.Bool
+	notes  [numNotes]atomic.Uint64
+
 	mu       sync.Mutex
 	children []*Hop
-	marks    map[string]uint64
-	notes    map[string]uint64
 	// Modeled schedule of the hop's server burst, attached at reply
 	// delivery on SMP boots (zero on single-CPU, where the wall clock
 	// and the model clock coincide): the burst's charged length, its
@@ -184,15 +195,6 @@ func (h *Hop) addChild(c *Hop) {
 	h.mu.Unlock()
 }
 
-func (h *Hop) addMark(name string, cycles uint64) {
-	h.mu.Lock()
-	if h.marks == nil {
-		h.marks = make(map[string]uint64)
-	}
-	h.marks[name] += cycles
-	h.mu.Unlock()
-}
-
 // NoteSched attaches the modeled schedule of the hop's settled server
 // burst: burst length (pure handler charges), pool-capacity wait, and
 // engine wait, in virtual cycles.  Called from the mach reply path
@@ -208,19 +210,10 @@ func (h *Hop) NoteSched(burst, poolWait, cpuWait uint64) {
 	h.mu.Unlock()
 }
 
-func (h *Hop) addNote(name string, n uint64) {
-	h.mu.Lock()
-	if h.notes == nil {
-		h.notes = make(map[string]uint64)
-	}
-	h.notes[name] += n
-	h.mu.Unlock()
-}
-
 // --- stamp points called from the mach RPC path ----------------------------
 //
 // All are nil-receiver-safe: a detached boot never mints hops, so every
-// message carries lat == nil and the hooks reduce to one branch.
+// message carries the zero context and the hooks reduce to one branch.
 
 // StampSent marks P1: the send burst is charged and the client is about
 // to enter the rendezvous.  Everything after this stamp and before a
@@ -250,60 +243,91 @@ func (h *Hop) StampServed() {
 	h.stampNow(pServed)
 }
 
-// --- goroutine context -----------------------------------------------------
+// --- request context ---------------------------------------------------------
 
-// current maps goroutine ID -> the hop being served on it.  The handler
-// chain of one request is synchronous on one goroutine (vfs worker
-// calling into bcache calling the driver through the bound disk
-// thread), so goroutine identity IS request identity between Bind and
-// its unbind — the same reason the kprof context stack works.
-var current sync.Map
-
-// goid parses the running goroutine's ID from its stack header — the
-// only portable way to name a goroutine, and cheap enough for a
-// per-RPC observation plane (one small fixed-size Stack call).
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	// "goroutine 123 [...": the ID starts at byte 10.
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
+// Ctx is a request's explicit context: the hop being served, passed by
+// value down every path the request's work takes.  The zero Ctx carries
+// no request, and every method on it is a no-op — the detached plane's
+// fast path is one nil check.
+type Ctx struct {
+	hop *Hop
 }
 
-var nopUnbind = func() {}
+// Ctx returns the context naming h (the zero Ctx for a nil hop).
+func (h *Hop) Ctx() Ctx { return Ctx{hop: h} }
 
-// Bind makes h the goroutine's current hop until the returned func runs,
-// restoring whatever was bound before (dispatch can nest: a carrier's
-// sub-hop binds inside the carrier's own binding).  Nil-safe no-op.
-func (h *Hop) Bind() func() {
+// Hop returns the hop the context names, or nil.
+func (c Ctx) Hop() *Hop { return c.hop }
+
+// Wait names a subsystem wait worth a ledger row of its own (a wait:*
+// component).
+type Wait uint8
+
+// The named waits.
+const (
+	// WaitBcacheLock is the buffer cache's lock.  It is held across
+	// device I/O, so with several file-server threads in flight,
+	// waiting here IS queueing on the disk arm.
+	WaitBcacheLock Wait = iota
+	// WaitDiskArm is the disk's own arm mutex: time spent behind a
+	// competitor's seek.
+	WaitDiskArm
+	numWaits
+)
+
+var waitNames = [numWaits]string{"bcache-lock", "disk-arm"}
+
+// Note names an annotation count carried on a hop for exemplar
+// drill-downs.
+type Note uint8
+
+// The annotation counts.
+const (
+	NoteBcacheHit Note = iota
+	NoteBcacheMiss
+	NoteBcacheReadahead
+	NoteBcacheWriteback
+	numNotes
+)
+
+var noteNames = [numNotes]string{"bcache.hit", "bcache.miss", "bcache.readahead", "bcache.writeback"}
+
+// Mark is an open wait mark, a value token: End adds the machine-wide
+// cycles that elapsed since MarkBegin to the hop's wait.  The zero Mark
+// (from the zero Ctx) ends as a no-op.
+type Mark struct {
+	hop   *Hop
+	wait  Wait
+	start uint64
+}
+
+// MarkBegin opens a named wait mark on the context's hop.  Marks lie
+// inside the hop's own service window and outside its children's
+// windows, so the component rollup can subtract them from own-service
+// without double counting.
+func (c Ctx) MarkBegin(w Wait) Mark {
+	if c.hop == nil {
+		return Mark{}
+	}
+	return Mark{hop: c.hop, wait: w, start: c.hop.t.eng.Counters().Cycles}
+}
+
+// End closes the mark.
+func (m Mark) End() {
+	h := m.hop
 	if h == nil {
-		return nopUnbind
+		return
 	}
-	g := goid()
-	prev, had := current.Load(g)
-	current.Store(g, h)
-	return func() {
-		if had {
-			current.Store(g, prev)
-		} else {
-			current.Delete(g)
-		}
-	}
+	h.marks[m.wait].Add(h.t.eng.Counters().Cycles - m.start)
+	h.marked[m.wait].Store(true)
 }
 
-// Current returns the hop bound to the calling goroutine, or nil.
-func Current() *Hop {
-	v, ok := current.Load(goid())
-	if !ok {
-		return nil
+// Note adds n to one of the context hop's annotation counts.
+func (c Ctx) Note(k Note, n uint64) {
+	if c.hop == nil || n == 0 {
+		return
 	}
-	return v.(*Hop)
+	c.hop.notes[k].Add(n)
 }
 
 // --- tracker ---------------------------------------------------------------
@@ -363,11 +387,11 @@ func For(eng *cpu.Engine) *Tracker {
 	return v.(*Tracker)
 }
 
-// Begin opens a hop for one outgoing call and stamps P0.  If the
-// calling goroutine is serving a request (a handler making a nested
-// call), the hop attaches to that ledger as a child; otherwise it is a
-// root — a fresh request ID minted at a client entry point.  Nil-safe.
-func (t *Tracker) Begin(server string, op uint32, width int) *Hop {
+// Begin opens a hop for one outgoing call and stamps P0.  When parent
+// names a request still being served (a handler making a nested call),
+// the hop attaches to that ledger as a child; otherwise it is a root — a
+// fresh request ID minted at a client entry point.  Nil-safe.
+func (t *Tracker) Begin(parent Ctx, server string, op uint32, width int) *Hop {
 	if t == nil {
 		return nil
 	}
@@ -375,8 +399,8 @@ func (t *Tracker) Begin(server string, op uint32, width int) *Hop {
 		server = "?"
 	}
 	h := &Hop{t: t, ID: t.seq.Add(1), Server: server, Op: op, Width: width}
-	if parent := Current(); parent != nil && !parent.sealed.Load() {
-		parent.addChild(h)
+	if p := parent.hop; p != nil && !p.sealed.Load() {
+		p.addChild(h)
 	} else {
 		h.Root = true
 	}
@@ -423,39 +447,6 @@ func (t *Tracker) Finish(h *Hop, err error) {
 		return
 	}
 	t.record(h)
-}
-
-// MarkBegin opens a named wait mark on the goroutine's current hop —
-// the subsystem-level waits worth naming in a ledger, like the buffer
-// cache's lock (held across device I/O, it IS the disk-arm queue) or
-// the disk's own arm mutex.  The returned func closes the mark, adding
-// the global cycles that elapsed to the hop; with no hop bound (or t
-// nil) both ends are no-ops.  Marks lie inside the hop's own service
-// window and outside its children's windows, so the component rollup
-// can subtract them from own-service without double counting.
-func (t *Tracker) MarkBegin(name string) func() {
-	if t == nil {
-		return nopUnbind
-	}
-	h := Current()
-	if h == nil {
-		return nopUnbind
-	}
-	start := t.eng.Counters().Cycles
-	return func() {
-		h.addMark(name, t.eng.Counters().Cycles-start)
-	}
-}
-
-// Note annotates the goroutine's current hop with a named count (cache
-// hits, sectors flushed) for exemplar drill-downs.  Nil-safe.
-func (t *Tracker) Note(name string, n uint64) {
-	if t == nil || n == 0 {
-		return
-	}
-	if h := Current(); h != nil {
-		h.addNote(name, n)
-	}
 }
 
 // record lands one sealed, successful hop in its family: histograms

@@ -18,10 +18,15 @@ func newTracker(t *testing.T) (*Tracker, *cpu.Engine) {
 	return tr, eng
 }
 
-// driveHop walks one hop through the five stamp points, advancing the
-// clock by the given segment widths (in stall cycles) between stamps.
+// driveHop walks one root hop through the five stamp points, advancing
+// the clock by the given segment widths (in stall cycles) between stamps.
 func driveHop(tr *Tracker, eng *cpu.Engine, server string, op uint32, send, queue, service, resume uint64) *Hop {
-	h := tr.Begin(server, op, 0)
+	return driveChild(Ctx{}, tr, eng, server, op, send, queue, service, resume)
+}
+
+// driveChild is driveHop for a hop opened under parent.
+func driveChild(parent Ctx, tr *Tracker, eng *cpu.Engine, server string, op uint32, send, queue, service, resume uint64) *Hop {
+	h := tr.Begin(parent, server, op, 0)
 	eng.Stall(send)
 	h.StampSent()
 	eng.Stall(queue)
@@ -72,23 +77,21 @@ func componentSum(h *HopDump) uint64 {
 	return sum
 }
 
-// TestNestedChildren: a call made while bound to a serving hop attaches
+// TestNestedChildren: a call made under a serving hop's context attaches
 // as a child; own-service is the parent's service minus the child's
 // window, and the rollup still sums exactly.
 func TestNestedChildren(t *testing.T) {
 	tr, eng := newTracker(t)
-	root := tr.Begin("files", 0x0201, 0)
+	root := tr.Begin(Ctx{}, "files", 0x0201, 0)
 	eng.Stall(10)
 	root.StampSent()
 	eng.Stall(20)
 	root.StampPicked()
-	// Handler runs: some own work, then a nested driver call under a
-	// goroutine binding, then more own work.
-	unbind := root.Bind()
+	// Handler runs: some own work, then a nested driver call under the
+	// request's context, then more own work.
 	eng.Stall(100)
-	child := driveHop(tr, eng, "blockdrv", 0x0d01, 5, 40, 5000, 5)
+	child := driveChild(root.Ctx(), tr, eng, "blockdrv", 0x0d01, 5, 40, 5000, 5)
 	eng.Stall(200)
-	unbind()
 	root.StampServed()
 	eng.Stall(30)
 	tr.Finish(root, nil)
@@ -134,16 +137,18 @@ func TestNestedChildren(t *testing.T) {
 // out of the hop's own-service bucket, keeping the partition exact.
 func TestMarksSubtractFromOwn(t *testing.T) {
 	tr, eng := newTracker(t)
-	h := tr.Begin("files", 0x0202, 0)
+	h := tr.Begin(Ctx{}, "files", 0x0202, 0)
 	h.StampSent()
 	h.StampPicked()
-	unbind := h.Bind()
-	end := tr.MarkBegin("bcache-lock")
+	ctx := h.Ctx()
+	m := ctx.MarkBegin(WaitBcacheLock)
 	eng.Stall(4000)
-	end()
+	m.End()
+	// A wait that costs nothing still names itself.
+	ctx.MarkBegin(WaitDiskArm).End()
 	eng.Stall(1000)
-	tr.Note("bcache.miss", 3)
-	unbind()
+	ctx.Note(NoteBcacheMiss, 3)
+	ctx.Note(NoteBcacheHit, 0)
 	h.StampServed()
 	tr.Finish(h, nil)
 
@@ -151,8 +156,14 @@ func TestMarksSubtractFromOwn(t *testing.T) {
 	if ex.Marks["bcache-lock"] != 4000 {
 		t.Fatalf("mark = %d, want 4000", ex.Marks["bcache-lock"])
 	}
+	if v, ok := ex.Marks["disk-arm"]; !ok || v != 0 {
+		t.Fatalf("zero-cycle mark = %d (present %v), want present at 0", v, ok)
+	}
 	if ex.Notes["bcache.miss"] != 3 {
 		t.Fatalf("note = %d, want 3", ex.Notes["bcache.miss"])
+	}
+	if _, ok := ex.Notes["bcache.hit"]; ok {
+		t.Fatal("a zero note must not appear")
 	}
 	comp := ex.Components()
 	if comp["wait.bcache-lock"] != 4000 {
@@ -197,21 +208,17 @@ func TestReservoirKeepsSlowest(t *testing.T) {
 // slowest sub only; sub windows partition the carrier's service.
 func TestCarrierCriticalPath(t *testing.T) {
 	tr, eng := newTracker(t)
-	carrier := tr.Begin("blockdrv", 0x0d02, 3)
+	carrier := tr.Begin(Ctx{}, "blockdrv", 0x0d02, 3)
 	eng.Stall(10)
 	carrier.StampSent()
 	eng.Stall(20)
 	carrier.StampPicked()
-	unbind := carrier.Bind()
 	widths := []uint64{500, 9000, 700}
 	for _, w := range widths {
 		sh := carrier.BeginSub(0x0d02)
-		rebind := sh.Bind()
 		eng.Stall(w)
-		rebind()
 		sh.EndSub()
 	}
-	unbind()
 	carrier.StampServed()
 	eng.Stall(5)
 	tr.Finish(carrier, nil)
@@ -240,7 +247,7 @@ func TestCarrierCriticalPath(t *testing.T) {
 // reservoir — their server-side stamps may still be in flight.
 func TestFailedHopDiscarded(t *testing.T) {
 	tr, eng := newTracker(t)
-	h := tr.Begin("files", 0x0201, 0)
+	h := tr.Begin(Ctx{}, "files", 0x0201, 0)
 	eng.Stall(100)
 	tr.Finish(h, errors.New("timeout"))
 	if d := tr.Dump(); len(d.Families) != 0 {
@@ -248,32 +255,26 @@ func TestFailedHopDiscarded(t *testing.T) {
 	}
 }
 
-// TestBindNesting: Bind restores the previous binding, and bindings are
-// goroutine-local.
-func TestBindNesting(t *testing.T) {
+// TestContextParent: a hop attaches under the context it was begun
+// with while that request is still open; the zero context and a sealed
+// parent both mint roots.
+func TestContextParent(t *testing.T) {
 	tr, _ := newTracker(t)
-	a := tr.Begin("a", 1, 0)
-	b := tr.Begin("b", 2, 0)
-	ua := a.Bind()
-	if Current() != a {
-		t.Fatal("a not current")
+	a := tr.Begin(Ctx{}, "a", 1, 0)
+	if !a.Root {
+		t.Fatal("zero context must mint a root")
 	}
-	ub := b.Bind()
-	if Current() != b {
-		t.Fatal("b not current")
+	b := tr.Begin(a.Ctx(), "b", 2, 0)
+	if b.Root {
+		t.Fatal("hop under an open request must be a child")
 	}
-	done := make(chan bool)
-	go func() { done <- Current() == nil }()
-	if !<-done {
-		t.Fatal("binding leaked across goroutines")
+	if a.Ctx().Hop() != a || (Ctx{}).Hop() != nil {
+		t.Fatal("Ctx does not name its hop")
 	}
-	ub()
-	if Current() != a {
-		t.Fatal("unbind did not restore a")
-	}
-	ua()
-	if Current() != nil {
-		t.Fatal("outer unbind did not clear")
+	tr.Finish(b, nil)
+	tr.Finish(a, nil)
+	if late := tr.Begin(a.Ctx(), "c", 3, 0); !late.Root {
+		t.Fatal("hop under a sealed request must be a root")
 	}
 }
 
@@ -285,7 +286,7 @@ func TestNilSafety(t *testing.T) {
 	if tr != nil {
 		t.Fatal("For on unattached engine")
 	}
-	h := tr.Begin("x", 1, 0)
+	h := tr.Begin(Ctx{}, "x", 1, 0)
 	if h != nil {
 		t.Fatal("Begin on nil tracker minted a hop")
 	}
@@ -293,9 +294,10 @@ func TestNilSafety(t *testing.T) {
 	h.StampPicked()
 	h.StampServed()
 	h.BeginSub(1).EndSub()
-	h.Bind()()
-	tr.MarkBegin("m")()
-	tr.Note("n", 1)
+	h.NoteSched(1, 2, 3)
+	ctx := h.Ctx()
+	ctx.MarkBegin(WaitDiskArm).End()
+	ctx.Note(NoteBcacheHit, 1)
 	tr.Finish(h, nil)
 }
 

@@ -16,8 +16,9 @@ import (
 // condition waits brackets itself with setWait/clearWait, and WaitEdges
 // resolves the registered ports to their owning tasks at snapshot time.
 //
-// Registration is always-on and observation-only: one atomic pointer
-// store per blocking point, no cost-model charges, no locks.  The pager
+// Registration is always-on and observation-only: each blocking point
+// rewrites the thread's one wait record under its own uncontended mutex
+// — no allocation, no cost-model charges.  The pager
 // never registers — its PageIn/PageOut are synchronous calls inside the
 // faulting thread's kernel entry, so a thread stuck in paging surfaces as
 // the enclosing RPC wait (see DESIGN.md).
@@ -32,11 +33,24 @@ type flightWait struct {
 
 // setWait registers the thread's current blocking point.
 func (th *Thread) setWait(kind kflight.WaitKind, port *Port, set *PortSet, op uint32) {
-	th.wait.Store(&flightWait{kind: kind, port: port, set: set, op: op})
+	th.waitMu.Lock()
+	th.wait = flightWait{kind: kind, port: port, set: set, op: op}
+	th.waitMu.Unlock()
 }
 
 // clearWait removes the registration; the thread is running again.
-func (th *Thread) clearWait() { th.wait.Store(nil) }
+func (th *Thread) clearWait() {
+	th.waitMu.Lock()
+	th.wait = flightWait{}
+	th.waitMu.Unlock()
+}
+
+// waitState snapshots the thread's registration (kind "" when running).
+func (th *Thread) waitState() flightWait {
+	th.waitMu.Lock()
+	defer th.waitMu.Unlock()
+	return th.wait
+}
 
 // WaitEdges materializes the wait-for graph: one edge per blocked thread,
 // thread → port → owning task, resolved at snapshot time so an edge
@@ -46,8 +60,8 @@ func (k *Kernel) WaitEdges() []kflight.WaitEdge {
 	var out []kflight.WaitEdge
 	for _, t := range k.Tasks() {
 		for _, th := range t.ThreadsSnapshot() {
-			w := th.wait.Load()
-			if w == nil {
+			w := th.waitState()
+			if w.kind == "" {
 				continue
 			}
 			e := kflight.WaitEdge{

@@ -129,15 +129,23 @@ type Message struct {
 	// parented to the operation that caused it (ktrace correlation).
 	trace ktrace.SpanContext
 
-	// lat is the request's tail-latency ledger entry, minted by the
-	// client entry point and riding in the header — like trace — so the
-	// server side of the crossing stamps the same ledger the client
-	// opened.  cloneForDelivery's shallow copy preserves it, which is
-	// exactly right: both sides of one crossing share one hop.  A
-	// vectored carrier carries the carrier hop; its subs get sub-hops
-	// at demux time, not header fields.  Nil on detached boots.
-	lat *klat.Hop
+	// ctx is the request's explicit context (its tail-latency ledger
+	// hop), set by the client entry point and riding in the header —
+	// like trace — so the server side of the crossing stamps the same
+	// ledger the client opened.  cloneForDelivery's shallow copy
+	// preserves it, which is exactly right: both sides of one crossing
+	// share one hop.  A vectored carrier carries the carrier hop; each
+	// sub-request a handler sees carries its sub-hop.  The zero Ctx on
+	// detached boots.
+	ctx klat.Ctx
 }
+
+// Context returns the request context the message carries: on the
+// server side of a crossing, the request the handler is serving.
+// Handlers pass it on wherever their work leaves the serving thread (a
+// device call through another thread, a wait worth naming), so nested
+// work lands in the right ledger.  The zero Ctx when nothing is traced.
+func (m *Message) Context() klat.Ctx { return m.ctx }
 
 // Size returns the total byte count the message transfers, including
 // by-reference region payloads and, for a vectored carrier, every

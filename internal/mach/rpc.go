@@ -65,6 +65,13 @@ type CallOpts struct {
 	// demux charge.  Call returns the first sub-reply; CallV is the
 	// ergonomic surface over the same mechanism and returns them all.
 	Batch []*Message
+
+	// Ctx is the request this call is made on behalf of.  A handler
+	// calling through its own serving thread needs none — dispatch lent
+	// the thread its request — but work that moved to another thread (a
+	// shared device thread) names its request here, so the call's hop
+	// attaches as a child of that request instead of minting a root.
+	Ctx klat.Ctx
 }
 
 // Call performs a synchronous remote procedure call: it blocks until a
@@ -75,13 +82,13 @@ type CallOpts struct {
 func (th *Thread) Call(dest PortName, req *Message, opts CallOpts) (*Message, error) {
 	if len(opts.Batch) > 0 {
 		reqs := append([]*Message{req}, opts.Batch...)
-		replies, err := th.CallV(dest, reqs, CallOpts{Timeout: opts.Timeout})
+		replies, err := th.CallV(dest, reqs, CallOpts{Timeout: opts.Timeout, Ctx: opts.Ctx})
 		if err != nil {
 			return nil, err
 		}
 		return replies[0], nil
 	}
-	return th.callMsg(dest, req, opts.Timeout)
+	return th.callMsg(dest, req, opts)
 }
 
 // CallV performs a vectored call: one crossing carries every request in
@@ -95,7 +102,7 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 	case 0:
 		return nil, nil
 	case 1:
-		m, err := th.callMsg(dest, reqs[0], opts.Timeout)
+		m, err := th.callMsg(dest, reqs[0], opts)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +114,7 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 		}
 	}
 	carrier := &Message{ID: reqs[0].ID, trace: reqs[0].trace, batch: reqs}
-	reply, err := th.callMsg(dest, carrier, opts.Timeout)
+	reply, err := th.callMsg(dest, carrier, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -117,14 +124,20 @@ func (th *Thread) CallV(dest PortName, reqs []*Message, opts CallOpts) ([]*Messa
 	return reply.batch, nil
 }
 
-// callMsg arms the optional deadline and runs the client path.
-func (th *Thread) callMsg(dest PortName, req *Message, timeout time.Duration) (*Message, error) {
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		return th.rpcCall(dest, req, timer.C)
+// callMsg arms the optional deadline, resolves the parent request (the
+// explicit one, else the one the thread is serving) and runs the client
+// path.
+func (th *Thread) callMsg(dest PortName, req *Message, opts CallOpts) (*Message, error) {
+	parent := opts.Ctx
+	if parent.Hop() == nil {
+		parent = th.ctx
 	}
-	return th.rpcCall(dest, req, nil)
+	if opts.Timeout > 0 {
+		timer := time.NewTimer(opts.Timeout)
+		defer timer.Stop()
+		return th.rpcCall(dest, req, parent, timer.C)
+	}
+	return th.rpcCall(dest, req, parent, nil)
 }
 
 // rpcNames are the observation-plane names derived from one task's
@@ -182,9 +195,10 @@ func (t *Task) destNames(dest PortName) *rpcNames {
 // read the engine's counters (never charge them), so an observed call
 // costs exactly what an unobserved one does; the per-call instr/cycles
 // deltas are exact for serial callers and interleave under concurrency
-// (counts and bytes stay exact either way).  A nil deadline channel
-// never fires.
-func (th *Thread) rpcCall(dest PortName, req *Message, deadline <-chan time.Time) (m *Message, err error) {
+// (counts and bytes stay exact either way).  parent is the request the
+// call is made for (the zero Ctx at a client entry point).  A nil
+// deadline channel never fires.
+func (th *Thread) rpcCall(dest PortName, req *Message, parent klat.Ctx, deadline <-chan time.Time) (m *Message, err error) {
 	k := th.task.kernel
 	st, pr, fr, lt, tr := kstat.For(k.CPU), kprof.For(k.CPU), kflight.For(k.CPU), klat.For(k.CPU), ktrace.For(k.CPU)
 	if st != nil || pr != nil || fr != nil || lt != nil {
@@ -193,11 +207,10 @@ func (th *Thread) rpcCall(dest PortName, req *Message, deadline <-chan time.Time
 			// Every client entry point mints a hop here: P0 now, P1–P3
 			// from the stamp points down the path (the hop rides in the
 			// message header), P4 and the record/discard decision when
-			// the named return is known.  A call made while serving
-			// another request attaches to that request's ledger as a
-			// child hop.
-			hop := lt.Begin(dn.task, uint32(req.ID), len(req.batch))
-			req.lat = hop
+			// the named return is known.  A call made for another
+			// request attaches to that request's ledger as a child hop.
+			hop := lt.Begin(parent, dn.task, uint32(req.ID), len(req.batch))
+			req.ctx = hop.Ctx()
 			defer func() { lt.Finish(hop, err) }()
 		}
 		if fr != nil {
@@ -345,7 +358,7 @@ func (th *Thread) rpcCall(dest PortName, req *Message, deadline <-chan time.Time
 
 	// P1: the send burst is fully charged; cycles from here to a server
 	// thread's pickup are the hop's queue-wait.
-	req.lat.StampSent()
+	req.ctx.Hop().StampSent()
 
 	th.setWait(kflight.WaitRendezvous, port, nil, uint32(req.ID))
 	select {
@@ -469,7 +482,7 @@ func (th *Thread) accept(ex *rpcExchange, port *Port) (*Message, *Responder) {
 	// P2: a server thread has the exchange; queue-wait (including any
 	// port-set relay) ends, the service segment (receive path, handler,
 	// reply) begins.
-	ex.request.lat.StampPicked()
+	ex.request.ctx.Hop().StampPicked()
 	if fr := kflight.For(k.CPU); fr != nil {
 		fr.Emit(ktrace.EvRPCServe, "mach.rpc", th.task.names.recv, uint64(ex.request.ID))
 	}
@@ -657,14 +670,14 @@ func (r *Responder) deliver(reply *Message) error {
 			// waiting, so these virtual-cycle figures — burst length, pool
 			// wait, engine wait — are what E-TAIL's queue attribution
 			// reasons over.
-			r.ex.request.lat.NoteSched(r.srv.schedBurst.Load(),
+			r.ex.request.ctx.Hop().NoteSched(r.srv.schedBurst.Load(),
 				r.srv.schedPoolWait.Load(), r.srv.schedCPUWait.Load())
 		}
 		// P3: the reply is committed and the burst released — service
 		// ends here, the client's resume segment starts.  Only the
 		// committed branch stamps: an abandoned exchange's hop was
 		// discarded by the client and must not be written further.
-		r.ex.request.lat.StampServed()
+		r.ex.request.ctx.Hop().StampServed()
 		r.ex.reply <- rpcOutcome{m: delivered, vt: r.srv.vt.Load()}
 	}
 	return nil
@@ -705,28 +718,38 @@ func receiveOn(recv PortName) receiveFn {
 // sub-replies travel back in one crossing.  Handlers never see a
 // carrier, so every existing handler is batch-transparent.
 //
-// This is also where the latency ledger crosses from message to
-// goroutine: the hop binds to the serving goroutine for the handler's
-// duration, so nested Calls the handler makes attach as child hops and
-// subsystem waits (bcache lock, disk arm) mark the right ledger.  A
-// carrier additionally gets one sub-hop per demultiplexed sub-request —
-// its service window — bound in place of the carrier while that sub
-// runs.  All of it is nil-safe no-ops on detached boots.
+// This is also where the request context passes from message to thread:
+// the serving thread holds the request's context for the handler's
+// duration, so nested Calls the handler makes through it attach as child
+// hops with no lookup.  A carrier additionally gets one sub-hop per
+// demultiplexed sub-request — its service window — which the sub's
+// handler sees as its message's context and its thread's.  With the
+// plane detached every context is the zero Ctx and nothing allocates.
 func dispatchReply(resp *Responder, req *Message, port PortName, h portHandler) error {
-	unbind := req.lat.Bind()
-	defer unbind()
+	th := resp.srv
 	if subs := req.batch; subs != nil {
+		carrier := req.ctx.Hop()
 		replies := make([]*Message, len(subs))
 		for i, sub := range subs {
-			sh := req.lat.BeginSub(uint32(sub.ID))
-			rebind := sh.Bind()
+			sh := carrier.BeginSub(uint32(sub.ID))
+			if sh != nil {
+				// The sub's header is the client's; the handler gets its
+				// own copy naming the sub-hop.
+				c := *sub
+				c.ctx = sh.Ctx()
+				sub = &c
+			}
+			th.ctx = sub.ctx
 			replies[i] = h(port, sub)
-			rebind()
 			sh.EndSub()
 		}
+		th.ctx = klat.Ctx{}
 		return resp.ReplyV(replies)
 	}
-	return resp.Reply(h(port, req))
+	th.ctx = req.ctx
+	reply := h(port, req)
+	th.ctx = klat.Ctx{}
+	return resp.Reply(reply)
 }
 
 // Serve runs the server loop on the calling thread over the named receive

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cpu"
+	"repro/internal/klat"
 	"repro/internal/kprof"
 	"repro/internal/kstat"
 	"repro/internal/ktrace"
@@ -196,11 +197,21 @@ type Thread struct {
 	// before its first receive, read only by that goroutine.
 	poolVT *vtPool
 
-	// wait is the thread's registered blocking point (nil while running):
-	// the structural-introspection hook behind the kflight wait-for
-	// graph.  Written by the thread around its own blocking selects, read
-	// by Kernel.WaitEdges from any goroutine.
-	wait atomic.Pointer[flightWait]
+	// wait is the thread's registered blocking point (kind "" while
+	// running): the structural-introspection hook behind the kflight
+	// wait-for graph.  Written by the thread around its own blocking
+	// selects, read by Kernel.WaitEdges from any goroutine; waitMu
+	// guards it, so a registration rewrites this one record in place
+	// instead of allocating.
+	waitMu sync.Mutex
+	wait   flightWait
+
+	// ctx is the request the thread is serving, lent by dispatchReply
+	// for the handler's duration so a nested Call through this thread
+	// finds its parent.  Written only by the thread's own server loop; a
+	// thread that never serves (a shared disk thread) keeps the zero
+	// Ctx, which its callers replace with CallOpts.Ctx.
+	ctx klat.Ctx
 }
 
 // syncVT advances the thread's virtual clock to at least v: the thread

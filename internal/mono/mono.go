@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/drivers"
+	"repro/internal/klat"
 	"repro/internal/ktime"
 	"repro/internal/mach"
 	"repro/internal/os2"
@@ -126,7 +127,7 @@ func mapVFSErr(err error) os2.Error {
 // DosOpen opens a file with one trap into the in-kernel file system.
 func (p *Process) DosOpen(path string, write, create bool) (uint32, os2.Error) {
 	p.sys.K.Trap(p.sys.fsPath)
-	fd, err := p.sys.Disp.Open(vfs.ProfileOS2, path, write, create)
+	fd, err := p.sys.Disp.Open(klat.Ctx{}, vfs.ProfileOS2, path, write, create)
 	if err != nil {
 		return 0, mapVFSErr(err)
 	}
@@ -155,7 +156,7 @@ func (p *Process) DosRead(h uint32, buf []byte) (int, os2.Error) {
 	if e != os2.NoError {
 		return 0, e
 	}
-	n, err := p.sys.Disp.ReadAt(f.fd, buf, f.pos)
+	n, err := p.sys.Disp.ReadAt(klat.Ctx{}, f.fd, buf, f.pos)
 	if err != nil {
 		return 0, mapVFSErr(err)
 	}
@@ -170,7 +171,7 @@ func (p *Process) DosWrite(h uint32, data []byte) (int, os2.Error) {
 	if e != os2.NoError {
 		return 0, e
 	}
-	n, err := p.sys.Disp.WriteAt(f.fd, data, f.pos)
+	n, err := p.sys.Disp.WriteAt(klat.Ctx{}, f.fd, data, f.pos)
 	if err != nil {
 		return 0, mapVFSErr(err)
 	}
@@ -211,19 +212,19 @@ func (p *Process) DosClose(h uint32) os2.Error {
 // DosDelete removes a file.
 func (p *Process) DosDelete(path string) os2.Error {
 	p.sys.K.Trap(p.sys.fsPath)
-	return mapVFSErr(p.sys.Disp.Remove(path))
+	return mapVFSErr(p.sys.Disp.Remove(klat.Ctx{}, path))
 }
 
 // DosMkdir creates a directory.
 func (p *Process) DosMkdir(path string) os2.Error {
 	p.sys.K.Trap(p.sys.fsPath)
-	return mapVFSErr(p.sys.Disp.Mkdir(vfs.ProfileOS2, path))
+	return mapVFSErr(p.sys.Disp.Mkdir(klat.Ctx{}, vfs.ProfileOS2, path))
 }
 
 // DosQueryPathInfo stats a path.
 func (p *Process) DosQueryPathInfo(path string) (vfs.Attr, os2.Error) {
 	p.sys.K.Trap(p.sys.fsPath)
-	a, err := p.sys.Disp.Stat(path)
+	a, err := p.sys.Disp.Stat(klat.Ctx{}, path)
 	return a, mapVFSErr(err)
 }
 

@@ -320,15 +320,36 @@ func (p *Process) Thread() *mach.Thread { return p.th }
 // stubCall charges the per-API shared-library stub.
 func (p *Process) stubCall() { p.srv.k.CPU.Exec(p.srv.stub) }
 
-// traceAPI opens a span covering one OS/2 API call.  Top-level calls root
+// api names one traced OS/2 API: its span name and its kstat count
+// family (os2.api.<name>), built once so a call concatenates nothing.
+type api struct{ name, family string }
+
+func newAPI(name string) api { return api{name: name, family: "os2.api." + name} }
+
+// The traced APIs.
+var (
+	apiDosOpen           = newAPI("DosOpen")
+	apiDosRead           = newAPI("DosRead")
+	apiDosWrite          = newAPI("DosWrite")
+	apiDosClose          = newAPI("DosClose")
+	apiDosDelete         = newAPI("DosDelete")
+	apiDosMkdir          = newAPI("DosMkdir")
+	apiDosQueryPathInfo  = newAPI("DosQueryPathInfo")
+	apiDosAllocMem       = newAPI("DosAllocMem")
+	apiDosAllocSharedMem = newAPI("DosAllocSharedMem")
+	apiWinPostMsg        = newAPI("WinPostMsg")
+	apiGfxLibCall        = newAPI("GfxLibCall")
+)
+
+// traceAPI counts one OS/2 API call and opens a span covering it.  Top-level calls root
 // a new trace; everything the call causes downstream (file-server RPCs,
 // driver I/O, faults) hangs off it in the causal tree.
-func (p *Process) traceAPI(name string) ktrace.Span {
+func (p *Process) traceAPI(a *api) ktrace.Span {
 	if st := kstat.For(p.srv.k.CPU); st != nil {
-		st.Counter("os2.api." + name).Inc()
+		st.Counter(a.family).Inc()
 	}
 	if t := ktrace.For(p.srv.k.CPU); t != nil {
-		return t.Begin(ktrace.EvAPI, "os2", name, ktrace.SpanContext{})
+		return t.Begin(ktrace.EvAPI, "os2", a.name, ktrace.SpanContext{})
 	}
 	return ktrace.Span{}
 }
@@ -368,7 +389,7 @@ func mapVFSErr(err error) Error {
 
 // DosOpen opens (optionally creating) a file and returns its handle.
 func (p *Process) DosOpen(path string, write, create bool) (uint32, Error) {
-	sp := p.traceAPI("DosOpen")
+	sp := p.traceAPI(&apiDosOpen)
 	defer sp.End()
 	p.stubCall()
 	f, err := p.fs.Open(path, write, create)
@@ -395,7 +416,7 @@ func (p *Process) file(h uint32) (*os2File, Error) {
 
 // DosRead reads sequentially from the handle's position.
 func (p *Process) DosRead(h uint32, buf []byte) (int, Error) {
-	sp := p.traceAPI("DosRead")
+	sp := p.traceAPI(&apiDosRead)
 	defer sp.End()
 	p.stubCall()
 	f, e := p.file(h)
@@ -412,7 +433,7 @@ func (p *Process) DosRead(h uint32, buf []byte) (int, Error) {
 
 // DosWrite writes sequentially at the handle's position.
 func (p *Process) DosWrite(h uint32, data []byte) (int, Error) {
-	sp := p.traceAPI("DosWrite")
+	sp := p.traceAPI(&apiDosWrite)
 	defer sp.End()
 	p.stubCall()
 	f, e := p.file(h)
@@ -443,7 +464,7 @@ func (p *Process) DosSetFilePtr(h uint32, pos int64) Error {
 
 // DosClose closes the handle.
 func (p *Process) DosClose(h uint32) Error {
-	sp := p.traceAPI("DosClose")
+	sp := p.traceAPI(&apiDosClose)
 	defer sp.End()
 	p.stubCall()
 	p.mu.Lock()
@@ -461,7 +482,7 @@ func (p *Process) DosClose(h uint32) Error {
 
 // DosDelete removes a file.
 func (p *Process) DosDelete(path string) Error {
-	sp := p.traceAPI("DosDelete")
+	sp := p.traceAPI(&apiDosDelete)
 	defer sp.End()
 	p.stubCall()
 	return mapVFSErr(p.fs.Remove(path))
@@ -469,7 +490,7 @@ func (p *Process) DosDelete(path string) Error {
 
 // DosMkdir creates a directory.
 func (p *Process) DosMkdir(path string) Error {
-	sp := p.traceAPI("DosMkdir")
+	sp := p.traceAPI(&apiDosMkdir)
 	defer sp.End()
 	p.stubCall()
 	return mapVFSErr(p.fs.Mkdir(path))
@@ -477,7 +498,7 @@ func (p *Process) DosMkdir(path string) Error {
 
 // DosQueryPathInfo stats a path.
 func (p *Process) DosQueryPathInfo(path string) (vfs.Attr, Error) {
-	sp := p.traceAPI("DosQueryPathInfo")
+	sp := p.traceAPI(&apiDosQueryPathInfo)
 	defer sp.End()
 	p.stubCall()
 	a, err := p.fs.Stat(path)
@@ -488,7 +509,7 @@ func (p *Process) DosQueryPathInfo(path string) (vfs.Attr, Error) {
 
 // DosAllocMem allocates byte-granular committed or reserved memory.
 func (p *Process) DosAllocMem(bytes uint64, commit bool) (vm.VAddr, Error) {
-	sp := p.traceAPI("DosAllocMem")
+	sp := p.traceAPI(&apiDosAllocMem)
 	defer sp.End()
 	p.stubCall()
 	return p.Mem.Alloc(bytes, commit)
@@ -517,7 +538,7 @@ func (p *Process) DosQueryMem(base vm.VAddr) (uint64, Error) {
 // DosAllocSharedMem allocates named shared memory that every process sees
 // at the same address — the coerced-memory requirement.
 func (p *Process) DosAllocSharedMem(name string, bytes uint64) (vm.VAddr, Error) {
-	sp := p.traceAPI("DosAllocSharedMem")
+	sp := p.traceAPI(&apiDosAllocSharedMem)
 	defer sp.End()
 	p.stubCall()
 	var body [8]byte
@@ -636,7 +657,7 @@ func (p *Process) DosSleep(d ktime.Duration) Error {
 // WinPostMsg posts a window message to another process's queue through
 // the personality server (the PM tasking path of Table 1).
 func (p *Process) WinPostMsg(dst PID, msg, arg uint32) Error {
-	sp := p.traceAPI("WinPostMsg")
+	sp := p.traceAPI(&apiWinPostMsg)
 	defer sp.End()
 	p.stubCall()
 	var body [12]byte
@@ -663,7 +684,7 @@ func (p *Process) WinGetMsg(wait bool) (PMMsg, Error) {
 // performance "was comparable or better with the microkernel-based
 // system".
 func (p *Process) GfxLibCall(instr uint64) {
-	sp := p.traceAPI("GfxLibCall")
+	sp := p.traceAPI(&apiGfxLibCall)
 	defer sp.End()
 	p.srv.k.CPU.Exec(p.srv.gfx)
 	p.srv.k.CPU.Instr(instr)

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
+	"repro/internal/klat"
 	"repro/internal/kstat"
 	"repro/internal/mach"
 	"repro/internal/vfs"
@@ -196,7 +197,7 @@ func (s *Server) handle(req *mach.Message) *mach.Message {
 		}
 		return &mach.Message{ID: 0, OOL: []byte(strings.Join(keys, "\n"))}
 	case msgFlush:
-		if err := s.flush(); err != nil {
+		if err := s.flush(req.Context()); err != nil {
 			return toWire(err)
 		}
 		return &mach.Message{ID: 0}
@@ -285,8 +286,9 @@ func (s *Server) enumKeys(app string) ([]string, error) {
 }
 
 // flush serializes the store as an .INI-style profile through the file
-// server.
-func (s *Server) flush() error {
+// server, on behalf of the request ctx names: the profile-io thread is
+// not the serving thread, so the request rides on the file calls.
+func (s *Server) flush(ctx klat.Ctx) error {
 	if s.fs == nil {
 		return nil
 	}
@@ -307,7 +309,7 @@ func (s *Server) flush() error {
 		}
 	}
 	s.mu.Unlock()
-	f, err := s.fs.Open(s.file, true, true)
+	f, err := s.fs.WithContext(ctx).Open(s.file, true, true)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/klat"
 )
 
 // Profile selects a personality's file semantics.  The server implements
@@ -189,7 +191,7 @@ func (d *Dispatcher) Compromises() []Compromise {
 
 // walkTo resolves path to (parent vnode, leaf name, fs) — leaf may not
 // exist yet.
-func (d *Dispatcher) walkTo(path string) (FileSystem, Vnode, string, error) {
+func (d *Dispatcher) walkTo(ctx klat.Ctx, path string) (FileSystem, Vnode, string, error) {
 	fs, rest, err := d.resolveMount(path)
 	if err != nil {
 		return nil, nil, "", err
@@ -201,7 +203,7 @@ func (d *Dispatcher) walkTo(path string) (FileSystem, Vnode, string, error) {
 	if len(parts) == 0 {
 		return fs, nil, "", nil // the mount root itself
 	}
-	parent, err := Walk(fs.Root(), parts[:len(parts)-1])
+	parent, err := Walk(ctx, fs.Root(), parts[:len(parts)-1])
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -209,15 +211,15 @@ func (d *Dispatcher) walkTo(path string) (FileSystem, Vnode, string, error) {
 }
 
 // lookupPath resolves path to its vnode.
-func (d *Dispatcher) lookupPath(path string) (FileSystem, Vnode, error) {
-	fs, parent, leaf, err := d.walkTo(path)
+func (d *Dispatcher) lookupPath(ctx klat.Ctx, path string) (FileSystem, Vnode, error) {
+	fs, parent, leaf, err := d.walkTo(ctx, path)
 	if err != nil {
 		return nil, nil, err
 	}
 	if parent == nil {
 		return fs, fs.Root(), nil
 	}
-	v, err := parent.Lookup(leaf)
+	v, err := parent.Lookup(ctx, leaf)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -225,8 +227,8 @@ func (d *Dispatcher) lookupPath(path string) (FileSystem, Vnode, error) {
 }
 
 // Open opens (optionally creating) a file and returns the handle.
-func (d *Dispatcher) Open(profile Profile, path string, write, create bool) (uint32, error) {
-	fs, parent, leaf, err := d.walkTo(path)
+func (d *Dispatcher) Open(ctx klat.Ctx, profile Profile, path string, write, create bool) (uint32, error) {
+	fs, parent, leaf, err := d.walkTo(ctx, path)
 	if err != nil {
 		return 0, err
 	}
@@ -234,18 +236,18 @@ func (d *Dispatcher) Open(profile Profile, path string, write, create bool) (uin
 	if parent == nil {
 		v = fs.Root()
 	} else {
-		v, err = parent.Lookup(leaf)
+		v, err = parent.Lookup(ctx, leaf)
 		if err == ErrNotFound && create {
 			if nerr := d.checkName(fs, profile, "create", leaf); nerr != nil {
 				return 0, nerr
 			}
-			v, err = parent.Create(leaf, false)
+			v, err = parent.Create(ctx, leaf, false)
 		}
 		if err != nil {
 			return 0, err
 		}
 	}
-	a, err := v.Attr()
+	a, err := v.Attr(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -282,7 +284,7 @@ func (d *Dispatcher) open(fd uint32) (*openFile, error) {
 }
 
 // ReadAt reads from an open file.
-func (d *Dispatcher) ReadAt(fd uint32, p []byte, off int64) (int, error) {
+func (d *Dispatcher) ReadAt(ctx klat.Ctx, fd uint32, p []byte, off int64) (int, error) {
 	of, err := d.open(fd)
 	if err != nil {
 		return 0, err
@@ -290,11 +292,11 @@ func (d *Dispatcher) ReadAt(fd uint32, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrBadOffset
 	}
-	return of.v.ReadAt(p, off)
+	return of.v.ReadAt(ctx, p, off)
 }
 
 // WriteAt writes to an open file.
-func (d *Dispatcher) WriteAt(fd uint32, p []byte, off int64) (int, error) {
+func (d *Dispatcher) WriteAt(ctx klat.Ctx, fd uint32, p []byte, off int64) (int, error) {
 	of, err := d.open(fd)
 	if err != nil {
 		return 0, err
@@ -305,11 +307,11 @@ func (d *Dispatcher) WriteAt(fd uint32, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrBadOffset
 	}
-	return of.v.WriteAt(p, off)
+	return of.v.WriteAt(ctx, p, off)
 }
 
 // Truncate resizes an open file.
-func (d *Dispatcher) Truncate(fd uint32, size int64) error {
+func (d *Dispatcher) Truncate(ctx klat.Ctx, fd uint32, size int64) error {
 	of, err := d.open(fd)
 	if err != nil {
 		return err
@@ -317,16 +319,16 @@ func (d *Dispatcher) Truncate(fd uint32, size int64) error {
 	if !of.write {
 		return ErrReadOnly
 	}
-	return of.v.Truncate(size)
+	return of.v.Truncate(ctx, size)
 }
 
 // Stat returns a path's attributes.
-func (d *Dispatcher) Stat(path string) (Attr, error) {
-	_, v, err := d.lookupPath(path)
+func (d *Dispatcher) Stat(ctx klat.Ctx, path string) (Attr, error) {
+	_, v, err := d.lookupPath(ctx, path)
 	if err != nil {
 		return Attr{}, err
 	}
-	return v.Attr()
+	return v.Attr(ctx)
 }
 
 // FileFS reports which mounted file system an open file belongs to, so
@@ -340,17 +342,17 @@ func (d *Dispatcher) FileFS(fd uint32) (FileSystem, error) {
 }
 
 // FStat returns an open file's attributes.
-func (d *Dispatcher) FStat(fd uint32) (Attr, error) {
+func (d *Dispatcher) FStat(ctx klat.Ctx, fd uint32) (Attr, error) {
 	of, err := d.open(fd)
 	if err != nil {
 		return Attr{}, err
 	}
-	return of.v.Attr()
+	return of.v.Attr(ctx)
 }
 
 // Mkdir creates a directory.
-func (d *Dispatcher) Mkdir(profile Profile, path string) error {
-	fs, parent, leaf, err := d.walkTo(path)
+func (d *Dispatcher) Mkdir(ctx klat.Ctx, profile Profile, path string) error {
+	fs, parent, leaf, err := d.walkTo(ctx, path)
 	if err != nil {
 		return err
 	}
@@ -360,38 +362,38 @@ func (d *Dispatcher) Mkdir(profile Profile, path string) error {
 	if err := d.checkName(fs, profile, "mkdir", leaf); err != nil {
 		return err
 	}
-	_, err = parent.Create(leaf, true)
+	_, err = parent.Create(ctx, leaf, true)
 	return err
 }
 
 // ReadDir lists a directory.
-func (d *Dispatcher) ReadDir(path string) ([]DirEnt, error) {
-	_, v, err := d.lookupPath(path)
+func (d *Dispatcher) ReadDir(ctx klat.Ctx, path string) ([]DirEnt, error) {
+	_, v, err := d.lookupPath(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	return v.ReadDir()
+	return v.ReadDir(ctx)
 }
 
 // Remove deletes a file or empty directory.
-func (d *Dispatcher) Remove(path string) error {
-	_, parent, leaf, err := d.walkTo(path)
+func (d *Dispatcher) Remove(ctx klat.Ctx, path string) error {
+	_, parent, leaf, err := d.walkTo(ctx, path)
 	if err != nil {
 		return err
 	}
 	if parent == nil {
 		return ErrNotFound // cannot remove a mount root
 	}
-	return parent.Remove(leaf)
+	return parent.Remove(ctx, leaf)
 }
 
 // Rename moves a file within one file system.
-func (d *Dispatcher) Rename(profile Profile, from, to string) error {
-	ffs, fparent, fleaf, err := d.walkTo(from)
+func (d *Dispatcher) Rename(ctx klat.Ctx, profile Profile, from, to string) error {
+	ffs, fparent, fleaf, err := d.walkTo(ctx, from)
 	if err != nil {
 		return err
 	}
-	tfs, tparent, tleaf, err := d.walkTo(to)
+	tfs, tparent, tleaf, err := d.walkTo(ctx, to)
 	if err != nil {
 		return err
 	}
@@ -404,11 +406,11 @@ func (d *Dispatcher) Rename(profile Profile, from, to string) error {
 	if err := d.checkName(tfs, profile, "rename", tleaf); err != nil {
 		return err
 	}
-	src, err := fparent.Lookup(fleaf)
+	src, err := fparent.Lookup(ctx, fleaf)
 	if err != nil {
 		return err
 	}
-	a, err := src.Attr()
+	a, err := src.Attr(ctx)
 	if err != nil {
 		return err
 	}
@@ -416,28 +418,28 @@ func (d *Dispatcher) Rename(profile Profile, from, to string) error {
 		return ErrUnsupported // directory rename not in the union subset
 	}
 	data := make([]byte, a.Size)
-	if _, err := src.ReadAt(data, 0); err != nil && a.Size > 0 {
+	if _, err := src.ReadAt(ctx, data, 0); err != nil && a.Size > 0 {
 		return err
 	}
-	dst, err := tparent.Create(tleaf, false)
+	dst, err := tparent.Create(ctx, tleaf, false)
 	if err != nil {
 		return err
 	}
 	if len(data) > 0 {
-		if _, err := dst.WriteAt(data, 0); err != nil {
+		if _, err := dst.WriteAt(ctx, data, 0); err != nil {
 			return err
 		}
 	}
 	for k, v := range a.EAs {
-		dst.SetEA(k, v)
+		dst.SetEA(ctx, k, v)
 	}
-	return fparent.Remove(fleaf)
+	return fparent.Remove(ctx, fleaf)
 }
 
 // SetEA sets an extended attribute through the union layer, recording the
 // compromise when the format has no EA storage.
-func (d *Dispatcher) SetEA(profile Profile, path, key, value string) error {
-	fs, v, err := d.lookupPath(path)
+func (d *Dispatcher) SetEA(ctx klat.Ctx, profile Profile, path, key, value string) error {
+	fs, v, err := d.lookupPath(ctx, path)
 	if err != nil {
 		return err
 	}
@@ -448,16 +450,16 @@ func (d *Dispatcher) SetEA(profile Profile, path, key, value string) error {
 		})
 		return ErrUnsupported
 	}
-	return v.SetEA(key, value)
+	return v.SetEA(ctx, key, value)
 }
 
 // GetEA reads an extended attribute.
-func (d *Dispatcher) GetEA(path, key string) (string, error) {
-	_, v, err := d.lookupPath(path)
+func (d *Dispatcher) GetEA(ctx klat.Ctx, path, key string) (string, error) {
+	_, v, err := d.lookupPath(ctx, path)
 	if err != nil {
 		return "", err
 	}
-	return v.GetEA(key)
+	return v.GetEA(ctx, key)
 }
 
 // OpenCount reports live open files (port-per-open accounting).
@@ -468,7 +470,7 @@ func (d *Dispatcher) OpenCount() int {
 }
 
 // Sync flushes every mounted file system.
-func (d *Dispatcher) Sync() error {
+func (d *Dispatcher) Sync(ctx klat.Ctx) error {
 	d.mu.Lock()
 	fss := make([]FileSystem, 0, len(d.mounts))
 	for _, fs := range d.mounts {
@@ -476,7 +478,7 @@ func (d *Dispatcher) Sync() error {
 	}
 	d.mu.Unlock()
 	for _, fs := range fss {
-		if err := fs.Sync(); err != nil {
+		if err := fs.Sync(ctx); err != nil {
 			return err
 		}
 	}

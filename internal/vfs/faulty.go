@@ -3,6 +3,8 @@ package vfs
 import (
 	"errors"
 	"sync"
+
+	"repro/internal/klat"
 )
 
 // ErrIO is the injected device failure.
@@ -79,18 +81,28 @@ func (f *FaultyDev) shouldFail(isWrite bool) bool {
 
 // ReadSectors implements BlockDev.
 func (f *FaultyDev) ReadSectors(sector uint64, buf []byte) error {
-	if f.shouldFail(false) {
-		return ErrIO
-	}
-	return f.Inner.ReadSectors(sector, buf)
+	return f.ReadSectorsCtx(klat.Ctx{}, sector, buf)
 }
 
 // WriteSectors implements BlockDev.
 func (f *FaultyDev) WriteSectors(sector uint64, data []byte) error {
+	return f.WriteSectorsCtx(klat.Ctx{}, sector, data)
+}
+
+// ReadSectorsCtx implements BlockDev.
+func (f *FaultyDev) ReadSectorsCtx(ctx klat.Ctx, sector uint64, buf []byte) error {
+	if f.shouldFail(false) {
+		return ErrIO
+	}
+	return f.Inner.ReadSectorsCtx(ctx, sector, buf)
+}
+
+// WriteSectorsCtx implements BlockDev.
+func (f *FaultyDev) WriteSectorsCtx(ctx klat.Ctx, sector uint64, data []byte) error {
 	if f.shouldFail(true) {
 		return ErrIO
 	}
-	return f.Inner.WriteSectors(sector, data)
+	return f.Inner.WriteSectorsCtx(ctx, sector, data)
 }
 
 // Sectors implements BlockDev.

@@ -3,6 +3,8 @@ package vfs
 import (
 	"strings"
 	"sync"
+
+	"repro/internal/klat"
 )
 
 // MemFS is a RAM file system with full long-name, case-sensitive, EA
@@ -46,7 +48,7 @@ func (m *MemFS) Caps() Capabilities {
 }
 
 // Sync implements FileSystem.
-func (m *MemFS) Sync() error { return nil }
+func (m *MemFS) Sync(_ klat.Ctx) error { return nil }
 
 // Mount implements Filesystem.  MemFS is RAM-rooted: it accepts (and
 // ignores) a nil device.
@@ -63,7 +65,7 @@ var _ FileSystem = (*MemFS)(nil)
 var _ Filesystem = (*MemFS)(nil)
 var _ Vnode = (*memNode)(nil)
 
-func (n *memNode) Attr() (Attr, error) {
+func (n *memNode) Attr(_ klat.Ctx) (Attr, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	a := Attr{Size: int64(len(n.data)), Dir: n.dir, ModTime: n.mtime}
@@ -76,7 +78,7 @@ func (n *memNode) Attr() (Attr, error) {
 	return a, nil
 }
 
-func (n *memNode) Lookup(name string) (Vnode, error) {
+func (n *memNode) Lookup(_ klat.Ctx, name string) (Vnode, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.dir {
@@ -89,7 +91,7 @@ func (n *memNode) Lookup(name string) (Vnode, error) {
 	return c, nil
 }
 
-func (n *memNode) Create(name string, dir bool) (Vnode, error) {
+func (n *memNode) Create(_ klat.Ctx, name string, dir bool) (Vnode, error) {
 	if name == "" || strings.ContainsRune(name, '/') {
 		return nil, ErrBadName
 	}
@@ -109,7 +111,7 @@ func (n *memNode) Create(name string, dir bool) (Vnode, error) {
 	return c, nil
 }
 
-func (n *memNode) Remove(name string) error {
+func (n *memNode) Remove(_ klat.Ctx, name string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.dir {
@@ -129,7 +131,7 @@ func (n *memNode) Remove(name string) error {
 	return nil
 }
 
-func (n *memNode) ReadAt(p []byte, off int64) (int, error) {
+func (n *memNode) ReadAt(_ klat.Ctx, p []byte, off int64) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.dir {
@@ -144,7 +146,7 @@ func (n *memNode) ReadAt(p []byte, off int64) (int, error) {
 	return copy(p, n.data[off:]), nil
 }
 
-func (n *memNode) WriteAt(p []byte, off int64) (int, error) {
+func (n *memNode) WriteAt(_ klat.Ctx, p []byte, off int64) (int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.dir {
@@ -164,7 +166,7 @@ func (n *memNode) WriteAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-func (n *memNode) Truncate(size int64) error {
+func (n *memNode) Truncate(_ klat.Ctx, size int64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.dir {
@@ -183,7 +185,7 @@ func (n *memNode) Truncate(size int64) error {
 	return nil
 }
 
-func (n *memNode) ReadDir() ([]DirEnt, error) {
+func (n *memNode) ReadDir(_ klat.Ctx) ([]DirEnt, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.dir {
@@ -199,7 +201,7 @@ func (n *memNode) ReadDir() ([]DirEnt, error) {
 	return out, nil
 }
 
-func (n *memNode) SetEA(key, value string) error {
+func (n *memNode) SetEA(_ klat.Ctx, key, value string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.eas == nil {
@@ -209,7 +211,7 @@ func (n *memNode) SetEA(key, value string) error {
 	return nil
 }
 
-func (n *memNode) GetEA(key string) (string, error) {
+func (n *memNode) GetEA(_ klat.Ctx, key string) (string, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	v, ok := n.eas[key]

@@ -1,6 +1,10 @@
 package vfs
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/klat"
+)
 
 // RAMDisk is an in-memory BlockDev for unit tests and ram-backed mounts.
 type RAMDisk struct {
@@ -19,6 +23,17 @@ func NewRAMDisk(n uint64) *RAMDisk {
 
 // ReadSectors implements BlockDev.
 func (r *RAMDisk) ReadSectors(sector uint64, buf []byte) error {
+	return r.ReadSectorsCtx(klat.Ctx{}, sector, buf)
+}
+
+// WriteSectors implements BlockDev.
+func (r *RAMDisk) WriteSectors(sector uint64, data []byte) error {
+	return r.WriteSectorsCtx(klat.Ctx{}, sector, data)
+}
+
+// ReadSectorsCtx implements BlockDev.  Memory has no waits worth naming,
+// so the context is unused.
+func (r *RAMDisk) ReadSectorsCtx(_ klat.Ctx, sector uint64, buf []byte) error {
 	if len(buf)%SectorSize != 0 {
 		return ErrBadOffset
 	}
@@ -41,8 +56,8 @@ func (r *RAMDisk) ReadSectors(sector uint64, buf []byte) error {
 	return nil
 }
 
-// WriteSectors implements BlockDev.
-func (r *RAMDisk) WriteSectors(sector uint64, data []byte) error {
+// WriteSectorsCtx implements BlockDev.
+func (r *RAMDisk) WriteSectorsCtx(_ klat.Ctx, sector uint64, data []byte) error {
 	if len(data)%SectorSize != 0 {
 		return ErrBadOffset
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/cpu"
+	"repro/internal/klat"
 	"repro/internal/kstat"
 	"repro/internal/ktrace"
 	"repro/internal/mach"
@@ -267,23 +268,23 @@ func (s *Server) VolumeCache(path string) CachedDev {
 // the filesystem commits first (a journaled format writes its journal
 // into the cache), then the cache flushes.  A volume without a cache is
 // a no-op — the seed's write-through path needs no flush.
-func (s *Server) flushVolume(fs FileSystem) error {
+func (s *Server) flushVolume(ctx klat.Ctx, fs FileSystem) error {
 	s.vmu.Lock()
 	vol := s.fsVols[fs]
 	s.vmu.Unlock()
 	if vol == nil || vol.cdev == nil {
 		return nil
 	}
-	if err := vol.fs.Sync(); err != nil {
+	if err := vol.fs.Sync(ctx); err != nil {
 		return err
 	}
-	return vol.cdev.Sync()
+	return vol.cdev.SyncCtx(ctx)
 }
 
 // syncVolumes is the MsgSync path: every mounted file system commits,
 // then every cached device flushes its dirty blocks.
-func (s *Server) syncVolumes() error {
-	if err := s.Disp.Sync(); err != nil {
+func (s *Server) syncVolumes(ctx klat.Ctx) error {
+	if err := s.Disp.Sync(ctx); err != nil {
 		return err
 	}
 	s.vmu.Lock()
@@ -294,7 +295,7 @@ func (s *Server) syncVolumes() error {
 	s.vmu.Unlock()
 	for _, v := range vols {
 		if v.cdev != nil {
-			if err := v.cdev.Sync(); err != nil {
+			if err := v.cdev.SyncCtx(ctx); err != nil {
 				return err
 			}
 		}
@@ -361,71 +362,73 @@ func fromWire(msg string) error {
 
 // --- server side ------------------------------------------------------------
 
-// fsOpName labels file-server operations for tracing.
-func fsOpName(id mach.MsgID) string {
-	switch id {
-	case MsgOpen:
-		return "open"
-	case MsgClose:
-		return "close"
-	case MsgRead:
-		return "read"
-	case MsgWrite:
-		return "write"
-	case MsgTruncate:
-		return "truncate"
-	case MsgStat:
-		return "stat"
-	case MsgFStat:
-		return "fstat"
-	case MsgMkdir:
-		return "mkdir"
-	case MsgReadDir:
-		return "readdir"
-	case MsgRemove:
-		return "remove"
-	case MsgRename:
-		return "rename"
-	case MsgSetEA:
-		return "setea"
-	case MsgGetEA:
-		return "getea"
-	case MsgSync:
-		return "sync"
-	case MsgReadV:
-		return "readv"
-	case MsgWriteV:
-		return "writev"
-	case MsgStatBatch:
-		return "statbatch"
-	default:
-		return "unknown"
+// fsOp names one file-server operation: its trace label and its kstat
+// count family (vfs.ops.<name>), both built once so serving an op
+// concatenates nothing.
+type fsOp struct{ name, family string }
+
+func newFSOp(name string) fsOp { return fsOp{name: name, family: "vfs.ops." + name} }
+
+// fsOps holds the operations in message-ID order from MsgOpen.
+var fsOps = func() []fsOp {
+	names := []string{"open", "close", "read", "write", "truncate", "stat", "fstat",
+		"mkdir", "readdir", "remove", "rename", "setea", "getea", "sync",
+		"readv", "writev", "statbatch"}
+	ops := make([]fsOp, len(names))
+	for i, n := range names {
+		ops[i] = newFSOp(n)
 	}
+	return ops
+}()
+
+var fsOpUnknown = newFSOp("unknown")
+
+// fsOpOf looks up the operation a message ID selects.
+func fsOpOf(id mach.MsgID) *fsOp {
+	if i := int(id) - int(MsgOpen); i >= 0 && i < len(fsOps) {
+		return &fsOps[i]
+	}
+	return &fsOpUnknown
 }
 
-// obsOp opens the kstat observation of one file-server operation; the
-// returned func records the op count and a cycles-latency sample when
-// called (a no-op with kstat detached).  Reads only, nothing charged.
-func (s *Server) obsOp(op string) func() {
-	st := kstat.For(s.k.CPU)
-	if st == nil {
-		return func() {}
+// opObs is the observation of one file-server operation in flight: its
+// ktrace span and the counter base of its kstat latency sample.  It is a
+// value, so observing an op allocates nothing.  Reads only, nothing
+// charged.
+type opObs struct {
+	s    *Server
+	op   *fsOp
+	sp   ktrace.Span
+	st   *kstat.Set
+	base cpu.Counters
+}
+
+// observe opens the observation of the operation req selects.
+func (s *Server) observe(req *mach.Message) opObs {
+	o := opObs{s: s, op: fsOpOf(req.ID)}
+	if t := ktrace.For(s.k.CPU); t != nil {
+		o.sp = t.Begin(ktrace.EvFSOp, "vfs", o.op.name, ktrace.SpanContext{})
 	}
-	base := s.k.CPU.Counters()
-	return func() {
-		d := s.k.CPU.Counters().Sub(base)
-		st.Counter("vfs.ops." + op).Inc()
-		st.Histogram("vfs.latency_cycles").Observe(d.Cycles)
+	if o.st = kstat.For(s.k.CPU); o.st != nil {
+		o.base = s.k.CPU.Counters()
 	}
+	return o
+}
+
+// end records the op count and a cycles-latency sample (with kstat
+// attached), then closes the span.
+func (o opObs) end() {
+	if o.st != nil {
+		d := o.s.k.CPU.Counters().Sub(o.base)
+		o.st.Counter(o.op.family).Inc()
+		o.st.Histogram("vfs.latency_cycles").Observe(d.Cycles)
+	}
+	o.sp.End()
 }
 
 func (s *Server) handleControl(req *mach.Message) *mach.Message {
-	var sp ktrace.Span
-	if t := ktrace.For(s.k.CPU); t != nil {
-		sp = t.Begin(ktrace.EvFSOp, "vfs", fsOpName(req.ID), ktrace.SpanContext{})
-	}
-	defer sp.End()
-	defer s.obsOp(fsOpName(req.ID))()
+	ctx := req.Context()
+	defer s.observe(req).end()
 	s.k.CPU.Exec(s.path)
 	switch req.ID {
 	case MsgOpen:
@@ -433,7 +436,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		fd, err := s.Disp.Open(Profile(r.Profile), r.Path, r.Write, r.Create)
+		fd, err := s.Disp.Open(ctx, Profile(r.Profile), r.Path, r.Write, r.Create)
 		if err != nil {
 			return errReply(err)
 		}
@@ -473,7 +476,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 			}},
 		}
 	case MsgStat:
-		a, err := s.Disp.Stat(string(req.Body))
+		a, err := s.Disp.Stat(ctx, string(req.Body))
 		if err != nil {
 			return errReply(err)
 		}
@@ -487,7 +490,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		// N-1 stats that share the crossing.
 		results := make([]wire.StatResult, len(r.Paths))
 		for i, p := range r.Paths {
-			a, err := s.Disp.Stat(p)
+			a, err := s.Disp.Stat(ctx, p)
 			if err != nil {
 				results[i].Err = err.Error()
 			} else {
@@ -500,18 +503,18 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		if err := s.Disp.Mkdir(Profile(r.Profile), r.Path); err != nil {
+		if err := s.Disp.Mkdir(ctx, Profile(r.Profile), r.Path); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
 	case MsgReadDir:
-		ents, err := s.Disp.ReadDir(string(req.Body))
+		ents, err := s.Disp.ReadDir(ctx, string(req.Body))
 		if err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, wire.EncodeDirEnts(ents))
 	case MsgRemove:
-		if err := s.Disp.Remove(string(req.Body)); err != nil {
+		if err := s.Disp.Remove(ctx, string(req.Body)); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
@@ -520,7 +523,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		if err := s.Disp.Rename(Profile(r.Profile), r.From, r.To); err != nil {
+		if err := s.Disp.Rename(ctx, Profile(r.Profile), r.From, r.To); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
@@ -529,7 +532,7 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		if err := s.Disp.SetEA(Profile(r.Profile), r.Path, r.Key, r.Value); err != nil {
+		if err := s.Disp.SetEA(ctx, Profile(r.Profile), r.Path, r.Key, r.Value); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
@@ -538,13 +541,13 @@ func (s *Server) handleControl(req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		v, err := s.Disp.GetEA(r.Path, r.Key)
+		v, err := s.Disp.GetEA(ctx, r.Path, r.Key)
 		if err != nil {
 			return errReply(err)
 		}
 		return okReply([]byte(v), nil)
 	case MsgSync:
-		if err := s.syncVolumes(); err != nil {
+		if err := s.syncVolumes(ctx); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
@@ -567,12 +570,8 @@ func (s *Server) handleFilePort(port mach.PortName, req *mach.Message) *mach.Mes
 
 // handleFile serves one open file's port.
 func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
-	var sp ktrace.Span
-	if t := ktrace.For(s.k.CPU); t != nil {
-		sp = t.Begin(ktrace.EvFSOp, "vfs", fsOpName(req.ID), ktrace.SpanContext{})
-	}
-	defer sp.End()
-	defer s.obsOp(fsOpName(req.ID))()
+	ctx := req.Context()
+	defer s.observe(req).end()
 	s.k.CPU.Exec(s.path)
 	switch req.ID {
 	case MsgRead:
@@ -587,7 +586,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 			n = MaxReadChunk
 		}
 		buf := make([]byte, n)
-		got, err := s.Disp.ReadAt(fd, buf, r.Off)
+		got, err := s.Disp.ReadAt(ctx, fd, buf, r.Off)
 		if err != nil && got == 0 {
 			return errReply(err)
 		}
@@ -609,7 +608,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 				n = MaxReadChunk
 			}
 			part := make([]byte, n)
-			got, err := s.Disp.ReadAt(fd, part, e.Off)
+			got, err := s.Disp.ReadAt(ctx, fd, part, e.Off)
 			if err != nil && got == 0 {
 				return errReply(err)
 			}
@@ -622,7 +621,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		n, err := s.Disp.WriteAt(fd, msgData(req), r.Off)
+		n, err := s.Disp.WriteAt(ctx, fd, msgData(req), r.Off)
 		if err != nil {
 			return errReply(err)
 		}
@@ -641,7 +640,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 			// An error mid-vector fails the whole op; extents before it
 			// have landed, exactly as a short write followed by an error
 			// would on the single-op path.
-			n, err := s.Disp.WriteAt(fd, data[:e.Len], e.Off)
+			n, err := s.Disp.WriteAt(ctx, fd, data[:e.Len], e.Off)
 			if err != nil {
 				return errReply(err)
 			}
@@ -654,12 +653,12 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		if !ok {
 			return errReply(ErrBadHandle)
 		}
-		if err := s.Disp.Truncate(fd, r.Size); err != nil {
+		if err := s.Disp.Truncate(ctx, fd, r.Size); err != nil {
 			return errReply(err)
 		}
 		return okReply(nil, nil)
 	case MsgFStat:
-		a, err := s.Disp.FStat(fd)
+		a, err := s.Disp.FStat(ctx, fd)
 		if err != nil {
 			return errReply(err)
 		}
@@ -673,7 +672,7 @@ func (s *Server) handleFile(fd uint32, req *mach.Message) *mach.Message {
 		// volumes flush nothing and charge nothing.
 		var flushErr error
 		if fsys, err := s.Disp.FileFS(fd); err == nil {
-			flushErr = s.flushVolume(fsys)
+			flushErr = s.flushVolume(ctx, fsys)
 		}
 		if err := s.Disp.Close(fd); err != nil {
 			return errReply(err)
@@ -715,6 +714,20 @@ type Client struct {
 	ctrl    mach.PortName
 	profile Profile
 	xfer    Transfer
+	// ctx is the request the client's calls are made for (zero for a
+	// client entry point); see WithContext.
+	ctx klat.Ctx
+}
+
+// WithContext returns a copy of the client whose calls — and those of
+// the files it opens — run on behalf of the request ctx names.  A
+// server that persists state through the file server from inside a
+// handler uses it, so the file operations land in the ledger of the
+// request being served rather than as fresh roots.
+func (c *Client) WithContext(ctx klat.Ctx) *Client {
+	cc := *c
+	cc.ctx = ctx
+	return &cc
 }
 
 // NewClient gives the calling task a connection to the server under the
@@ -735,7 +748,7 @@ func (c *Client) call(dest mach.PortName, id mach.MsgID, body, ool []byte) (*mac
 // callMsg sends a prebuilt request (region payloads, vectored bodies)
 // and maps error replies back to their sentinels.
 func (c *Client) callMsg(dest mach.PortName, req *mach.Message) (*mach.Message, error) {
-	reply, err := c.th.Call(dest, req, mach.CallOpts{})
+	reply, err := c.th.Call(dest, req, mach.CallOpts{Ctx: c.ctx})
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"strings"
 
+	"repro/internal/klat"
 	"repro/internal/vfs/wire"
 )
 
@@ -47,29 +48,32 @@ type Attr = wire.Attr
 type DirEnt = wire.DirEnt
 
 // Vnode is the extended vnode interface every physical file system
-// implements.
+// implements.  Every operation takes the request context it runs for
+// (the zero klat.Ctx outside any request): a format passes it to each
+// device access, so the block I/O an operation causes lands in the
+// ledger of the request that caused it.
 type Vnode interface {
-	Attr() (Attr, error)
+	Attr(ctx klat.Ctx) (Attr, error)
 	// Lookup finds a child by name (directories only).  Matching is the
 	// physical format's own (FAT and HPFS are case-insensitive, JFS is
 	// case-sensitive).
-	Lookup(name string) (Vnode, error)
+	Lookup(ctx klat.Ctx, name string) (Vnode, error)
 	// Create makes a child file or directory.
-	Create(name string, dir bool) (Vnode, error)
+	Create(ctx klat.Ctx, name string, dir bool) (Vnode, error)
 	// Remove deletes a child.
-	Remove(name string) error
+	Remove(ctx klat.Ctx, name string) error
 	// ReadAt / WriteAt move file data.
-	ReadAt(p []byte, off int64) (int, error)
-	WriteAt(p []byte, off int64) (int, error)
+	ReadAt(ctx klat.Ctx, p []byte, off int64) (int, error)
+	WriteAt(ctx klat.Ctx, p []byte, off int64) (int, error)
 	// Truncate sets the file size.
-	Truncate(size int64) error
+	Truncate(ctx klat.Ctx, size int64) error
 	// ReadDir lists a directory.
-	ReadDir() ([]DirEnt, error)
+	ReadDir(ctx klat.Ctx) ([]DirEnt, error)
 	// SetEA sets an extended attribute (ErrUnsupported where the format
 	// has no EA storage — FAT).
-	SetEA(key, value string) error
+	SetEA(ctx klat.Ctx, key, value string) error
 	// GetEA reads an extended attribute.
-	GetEA(key string) (string, error)
+	GetEA(ctx klat.Ctx, key string) (string, error)
 }
 
 // Capabilities describes what a physical format can express — the
@@ -92,8 +96,9 @@ type FileSystem interface {
 	Root() Vnode
 	FSName() string
 	Caps() Capabilities
-	// Sync flushes metadata (journaled formats commit here).
-	Sync() error
+	// Sync flushes metadata (journaled formats commit here) on behalf
+	// of the request ctx names.
+	Sync(ctx klat.Ctx) error
 }
 
 // Filesystem is the redesigned mount API: one object per volume that
@@ -118,10 +123,16 @@ type Filesystem interface {
 }
 
 // BlockDev is the device interface the physical formats sit on; it is
-// satisfied by *drivers.Disk and by RAMDisk for unit tests.
+// satisfied by drivers.SectorDev, the buffer cache and RAMDisk.  Each
+// transfer comes in two forms, after database/sql's Query/QueryContext:
+// the Ctx form runs on behalf of the request ctx names (the driver call
+// it makes, and any wait it queues in, land in that request's ledger),
+// and the plain form is the Ctx form with the zero context.
 type BlockDev interface {
 	ReadSectors(sector uint64, buf []byte) error
 	WriteSectors(sector uint64, data []byte) error
+	ReadSectorsCtx(ctx klat.Ctx, sector uint64, buf []byte) error
+	WriteSectorsCtx(ctx klat.Ctx, sector uint64, data []byte) error
 	Sectors() uint64
 }
 
@@ -134,6 +145,8 @@ type CachedDev interface {
 	// Sync flushes all dirty blocks to the underlying device.  On error
 	// the unwritten blocks stay dirty, so a later Sync can retry.
 	Sync() error
+	// SyncCtx is Sync on behalf of the request ctx names.
+	SyncCtx(ctx klat.Ctx) error
 }
 
 // SectorRun is one contiguous run of sectors bound for the device.
@@ -153,14 +166,17 @@ type SectorRun struct {
 type BatchDev interface {
 	BlockDev
 	WriteSectorsV(runs []SectorRun) (int, error)
+	WriteSectorsVCtx(ctx klat.Ctx, runs []SectorRun) (int, error)
 }
 
 // deadDev is the device of an unmounted volume: every access fails.
 type deadDev struct{}
 
-func (deadDev) ReadSectors(uint64, []byte) error  { return ErrNotMounted }
-func (deadDev) WriteSectors(uint64, []byte) error { return ErrNotMounted }
-func (deadDev) Sectors() uint64                   { return 0 }
+func (deadDev) ReadSectors(uint64, []byte) error               { return ErrNotMounted }
+func (deadDev) WriteSectors(uint64, []byte) error              { return ErrNotMounted }
+func (deadDev) ReadSectorsCtx(klat.Ctx, uint64, []byte) error  { return ErrNotMounted }
+func (deadDev) WriteSectorsCtx(klat.Ctx, uint64, []byte) error { return ErrNotMounted }
+func (deadDev) Sectors() uint64                                { return 0 }
 
 // DeadDev is what Filesystem.Unmount implementations install in place of
 // the real device, turning use-after-unmount into clean ErrNotMounted
@@ -185,10 +201,10 @@ func SplitPath(p string) ([]string, error) {
 }
 
 // Walk resolves a path of components from a root vnode.
-func Walk(root Vnode, parts []string) (Vnode, error) {
+func Walk(ctx klat.Ctx, root Vnode, parts []string) (Vnode, error) {
 	v := root
 	for _, c := range parts {
-		next, err := v.Lookup(c)
+		next, err := v.Lookup(ctx, c)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cpu"
+	"repro/internal/klat"
 	"repro/internal/mach"
 )
 
@@ -36,43 +37,43 @@ func TestSplitPath(t *testing.T) {
 func TestMemFSBasics(t *testing.T) {
 	fs := NewMemFS()
 	root := fs.Root()
-	f, err := root.Create("hello.txt", false)
+	f, err := root.Create(klat.Ctx{}, "hello.txt", false)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, err := root.Create("hello.txt", false); err != ErrExists {
+	if _, err := root.Create(klat.Ctx{}, "hello.txt", false); err != ErrExists {
 		t.Fatalf("dup err = %v", err)
 	}
-	if _, err := f.WriteAt([]byte("world"), 0); err != nil {
+	if _, err := f.WriteAt(klat.Ctx{}, []byte("world"), 0); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	buf := make([]byte, 5)
-	n, err := f.ReadAt(buf, 0)
+	n, err := f.ReadAt(klat.Ctx{}, buf, 0)
 	if err != nil || n != 5 || string(buf) != "world" {
 		t.Fatalf("ReadAt: %d %v %q", n, err, buf)
 	}
 	// Sparse write.
-	if _, err := f.WriteAt([]byte("x"), 100); err != nil {
+	if _, err := f.WriteAt(klat.Ctx{}, []byte("x"), 100); err != nil {
 		t.Fatalf("sparse: %v", err)
 	}
-	a, _ := f.Attr()
+	a, _ := f.Attr(klat.Ctx{})
 	if a.Size != 101 {
 		t.Fatalf("size = %d", a.Size)
 	}
-	if err := f.Truncate(5); err != nil {
+	if err := f.Truncate(klat.Ctx{}, 5); err != nil {
 		t.Fatalf("Truncate: %v", err)
 	}
-	a, _ = f.Attr()
+	a, _ = f.Attr(klat.Ctx{})
 	if a.Size != 5 {
 		t.Fatalf("size after truncate = %d", a.Size)
 	}
-	if err := f.SetEA("type", "text"); err != nil {
+	if err := f.SetEA(klat.Ctx{}, "type", "text"); err != nil {
 		t.Fatalf("SetEA: %v", err)
 	}
-	if v, err := f.GetEA("type"); err != nil || v != "text" {
+	if v, err := f.GetEA(klat.Ctx{}, "type"); err != nil || v != "text" {
 		t.Fatalf("GetEA: %q %v", v, err)
 	}
-	if _, err := f.GetEA("missing"); err != ErrNotFound {
+	if _, err := f.GetEA(klat.Ctx{}, "missing"); err != ErrNotFound {
 		t.Fatalf("GetEA missing err = %v", err)
 	}
 }
@@ -80,11 +81,11 @@ func TestMemFSBasics(t *testing.T) {
 func TestMemFSCaseSensitive(t *testing.T) {
 	fs := NewMemFS()
 	root := fs.Root()
-	root.Create("File", false)
-	if _, err := root.Lookup("file"); err != ErrNotFound {
+	root.Create(klat.Ctx{}, "File", false)
+	if _, err := root.Lookup(klat.Ctx{}, "file"); err != ErrNotFound {
 		t.Fatalf("memfs must be case-sensitive: %v", err)
 	}
-	if _, err := root.Create("file", false); err != nil {
+	if _, err := root.Create(klat.Ctx{}, "file", false); err != nil {
 		t.Fatalf("case variant should coexist: %v", err)
 	}
 }
@@ -103,23 +104,23 @@ func TestDispatcherMountResolution(t *testing.T) {
 		t.Fatalf("dup mount err = %v", err)
 	}
 	// A file under /c goes to cfs.
-	fd, err := d.Open(ProfileOS2, "/c/report.txt", true, true)
+	fd, err := d.Open(klat.Ctx{}, ProfileOS2, "/c/report.txt", true, true)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	d.WriteAt(fd, []byte("data"), 0)
+	d.WriteAt(klat.Ctx{}, fd, []byte("data"), 0)
 	d.Close(fd)
-	if _, err := cfs.Root().Lookup("report.txt"); err != nil {
+	if _, err := cfs.Root().Lookup(klat.Ctx{}, "report.txt"); err != nil {
 		t.Fatalf("file not on /c fs: %v", err)
 	}
-	if _, err := rootfs.Root().Lookup("report.txt"); err != ErrNotFound {
+	if _, err := rootfs.Root().Lookup(klat.Ctx{}, "report.txt"); err != ErrNotFound {
 		t.Fatal("file leaked to root fs")
 	}
 	// Unmount.
 	if err := d.Unmount("/c"); err != nil {
 		t.Fatalf("Unmount: %v", err)
 	}
-	if _, err := d.Stat("/c/report.txt"); err != ErrNotFound && err != ErrNotMounted {
+	if _, err := d.Stat(klat.Ctx{}, "/c/report.txt"); err != ErrNotFound && err != ErrNotMounted {
 		t.Fatalf("stat after unmount: %v", err)
 	}
 }
@@ -127,23 +128,23 @@ func TestDispatcherMountResolution(t *testing.T) {
 func TestDispatcherOpenReadWrite(t *testing.T) {
 	d := NewDispatcher()
 	d.Mount("/", NewMemFS())
-	if _, err := d.Open(ProfileUNIX, "/missing", false, false); err != ErrNotFound {
+	if _, err := d.Open(klat.Ctx{}, ProfileUNIX, "/missing", false, false); err != ErrNotFound {
 		t.Fatalf("open missing err = %v", err)
 	}
-	fd, err := d.Open(ProfileUNIX, "/f", true, true)
+	fd, err := d.Open(klat.Ctx{}, ProfileUNIX, "/f", true, true)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if _, err := d.WriteAt(fd, []byte("abc"), 0); err != nil {
+	if _, err := d.WriteAt(klat.Ctx{}, fd, []byte("abc"), 0); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	// A read-only open of the same file cannot write.
-	fd2, _ := d.Open(ProfileUNIX, "/f", false, false)
-	if _, err := d.WriteAt(fd2, []byte("x"), 0); err != ErrReadOnly {
+	fd2, _ := d.Open(klat.Ctx{}, ProfileUNIX, "/f", false, false)
+	if _, err := d.WriteAt(klat.Ctx{}, fd2, []byte("x"), 0); err != ErrReadOnly {
 		t.Fatalf("read-only err = %v", err)
 	}
 	buf := make([]byte, 3)
-	if n, _ := d.ReadAt(fd2, buf, 0); n != 3 || string(buf) != "abc" {
+	if n, _ := d.ReadAt(klat.Ctx{}, fd2, buf, 0); n != 3 || string(buf) != "abc" {
 		t.Fatalf("ReadAt: %q", buf)
 	}
 	if err := d.Close(fd); err != nil {
@@ -152,7 +153,7 @@ func TestDispatcherOpenReadWrite(t *testing.T) {
 	if err := d.Close(fd); err != ErrBadHandle {
 		t.Fatalf("double close err = %v", err)
 	}
-	if _, err := d.ReadAt(fd, buf, 0); err != ErrBadHandle {
+	if _, err := d.ReadAt(klat.Ctx{}, fd, buf, 0); err != ErrBadHandle {
 		t.Fatalf("read after close err = %v", err)
 	}
 	d.Close(fd2)
@@ -164,26 +165,26 @@ func TestDispatcherOpenReadWrite(t *testing.T) {
 func TestDispatcherDirOps(t *testing.T) {
 	d := NewDispatcher()
 	d.Mount("/", NewMemFS())
-	if err := d.Mkdir(ProfileUNIX, "/docs"); err != nil {
+	if err := d.Mkdir(klat.Ctx{}, ProfileUNIX, "/docs"); err != nil {
 		t.Fatalf("Mkdir: %v", err)
 	}
-	fd, _ := d.Open(ProfileUNIX, "/docs/a.txt", true, true)
-	d.WriteAt(fd, []byte("hello"), 0)
+	fd, _ := d.Open(klat.Ctx{}, ProfileUNIX, "/docs/a.txt", true, true)
+	d.WriteAt(klat.Ctx{}, fd, []byte("hello"), 0)
 	d.Close(fd)
-	d.Mkdir(ProfileUNIX, "/docs/sub")
-	ents, err := d.ReadDir("/docs")
+	d.Mkdir(klat.Ctx{}, ProfileUNIX, "/docs/sub")
+	ents, err := d.ReadDir(klat.Ctx{}, "/docs")
 	if err != nil || len(ents) != 2 {
 		t.Fatalf("ReadDir: %v %v", ents, err)
 	}
 	if ents[0].Name != "a.txt" || ents[0].Dir || ents[0].Size != 5 {
 		t.Fatalf("ent0 = %+v", ents[0])
 	}
-	if err := d.Remove("/docs"); err != ErrNotEmpty {
+	if err := d.Remove(klat.Ctx{}, "/docs"); err != ErrNotEmpty {
 		t.Fatalf("remove non-empty err = %v", err)
 	}
-	d.Remove("/docs/a.txt")
-	d.Remove("/docs/sub")
-	if err := d.Remove("/docs"); err != nil {
+	d.Remove(klat.Ctx{}, "/docs/a.txt")
+	d.Remove(klat.Ctx{}, "/docs/sub")
+	if err := d.Remove(klat.Ctx{}, "/docs"); err != nil {
 		t.Fatalf("remove emptied dir: %v", err)
 	}
 }
@@ -192,20 +193,20 @@ func TestDispatcherRename(t *testing.T) {
 	d := NewDispatcher()
 	d.Mount("/", NewMemFS())
 	d.Mount("/other", NewMemFS())
-	fd, _ := d.Open(ProfileOS2, "/a.txt", true, true)
-	d.WriteAt(fd, []byte("payload"), 0)
+	fd, _ := d.Open(klat.Ctx{}, ProfileOS2, "/a.txt", true, true)
+	d.WriteAt(klat.Ctx{}, fd, []byte("payload"), 0)
 	d.Close(fd)
-	if err := d.Rename(ProfileOS2, "/a.txt", "/b.txt"); err != nil {
+	if err := d.Rename(klat.Ctx{}, ProfileOS2, "/a.txt", "/b.txt"); err != nil {
 		t.Fatalf("Rename: %v", err)
 	}
-	if _, err := d.Stat("/a.txt"); err != ErrNotFound {
+	if _, err := d.Stat(klat.Ctx{}, "/a.txt"); err != ErrNotFound {
 		t.Fatal("source survived rename")
 	}
-	a, err := d.Stat("/b.txt")
+	a, err := d.Stat(klat.Ctx{}, "/b.txt")
 	if err != nil || a.Size != 7 {
 		t.Fatalf("dest: %+v %v", a, err)
 	}
-	if err := d.Rename(ProfileOS2, "/b.txt", "/other/b.txt"); err != ErrCrossDevice {
+	if err := d.Rename(klat.Ctx{}, ProfileOS2, "/b.txt", "/other/b.txt"); err != ErrCrossDevice {
 		t.Fatalf("cross-device err = %v", err)
 	}
 }
@@ -365,5 +366,24 @@ func TestPropertyServerReadWrite(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFSOpNames: the per-op names are indexed by message ID, so every ID
+// must map to its own name — the trace labels and vfs.ops.<name>
+// families that dumps and the benchmark read.
+func TestFSOpNames(t *testing.T) {
+	want := map[mach.MsgID]string{
+		MsgOpen: "open", MsgClose: "close", MsgRead: "read", MsgWrite: "write",
+		MsgTruncate: "truncate", MsgStat: "stat", MsgFStat: "fstat", MsgMkdir: "mkdir",
+		MsgReadDir: "readdir", MsgRemove: "remove", MsgRename: "rename", MsgSetEA: "setea",
+		MsgGetEA: "getea", MsgSync: "sync", MsgReadV: "readv", MsgWriteV: "writev",
+		MsgStatBatch: "statbatch", MsgStatBatch + 1: "unknown", MsgOpen - 1: "unknown",
+	}
+	for id, name := range want {
+		op := fsOpOf(id)
+		if op.name != name || op.family != "vfs.ops."+name {
+			t.Errorf("id %#x: op %+v, want %q", id, *op, name)
+		}
 	}
 }

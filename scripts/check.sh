@@ -9,16 +9,20 @@
 # sink and context stack are driven from every charging thread at once;
 # cpu's Complex routes every charge through a per-OS-thread binding table
 # while the SMP dispatcher binds/steals from many goroutines at once;
-# kflight's lock-free rings are swept by dump queries racing live
-# emitters while the watchdog polls the kstat fabric from its own
-# goroutine; the vectored paths move region descriptors and batched
-# sub-messages between client threads and pooled servers with zero
-# copies, so aliasing bugs there surface only under the race detector —
-# the vfs and drivers suites drive CallV/ReadV/WriteV/StatBatch and the
-# vectored write-behind flush from many concurrent clients; klat's
-# per-request hops are stamped by whichever thread holds the message —
-# client, pool worker, carrier demux — while monitor dump queries walk
-# live ledgers under the family locks).
+# kflight's rings are swept by dump queries racing live emitters while
+# the watchdog polls the kstat fabric from its own goroutine; the
+# vectored paths move region descriptors and batched sub-messages between
+# client threads and pooled servers with zero copies, so aliasing bugs
+# there surface only under the race detector — the vfs and drivers suites
+# drive CallV/ReadV/WriteV/StatBatch and the vectored write-behind flush
+# from many concurrent clients; klat's per-request hops are stamped by
+# whichever thread holds the message — client, pool worker, carrier demux
+# — while monitor dump queries walk live ledgers under the family locks;
+# the request context naming those hops is passed by value through
+# the fat vnodes, the buffer cache and the shared disk thread, and through
+# the registry's profile-io thread, so the core ledger tests drive four
+# pooled clients at once and check every driver hop lands under its own
+# request).
 # Tier-1 (go build && go test ./...) stays the merge gate; this catches
 # data races tier-1 cannot.
 set -eux
@@ -30,7 +34,8 @@ go vet ./...
 # the root build never compiles it; vet it so a mach API change that
 # breaks the benchmark fails here.
 (cd wposbench && go vet ./...)
-go test -race ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/...
+go test -race ./internal/cpu/... ./internal/kstat/... ./internal/ktrace/... ./internal/kprof/... ./internal/kflight/... ./internal/klat/... ./internal/mach/... ./internal/vfs/... ./internal/os2/... ./internal/monitor/... ./internal/bcache/... ./internal/drivers/... ./internal/registry/... ./internal/fat/...
+go test -race -run TestLedger ./internal/core/
 
 # Chaos short soak under the race detector: one seed, all six fault kinds,
 # full invariant oracle.  Kept -short so the race-instrumented run stays in
