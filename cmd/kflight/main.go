@@ -12,39 +12,23 @@
 //	kflight -read dump.json               # render a saved dump
 //	kflight -diff a.json b.json           # what changed between two dumps
 //
-// Boot flags mirror cmd/wpos: -driver, -mem, -pool, -cache, -cpus.
+// Boot flags are the shared set of internal/cli: -driver, -mem, -pool,
+// -cache, -cpus, -simple-names, -zerocopy, -batch.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/kflight"
-	"repro/internal/monitor"
-	"repro/internal/netsvc"
 	"repro/internal/workload"
 )
 
-var workloads = map[string]workload.Row{
-	"file1":    workload.FileIntensive1,
-	"file2":    workload.FileIntensive2,
-	"gfx-low":  workload.GraphicsLow,
-	"gfx-med":  workload.GraphicsMedium,
-	"gfx-high": workload.GraphicsHigh,
-	"pm-med":   workload.PMTaskingMedium,
-	"pm-high":  workload.PMTaskingHigh,
-}
-
 func main() {
 	var (
-		driver = flag.String("driver", "user", "block driver model: user, kernel, ooddm")
-		mem    = flag.Int("mem", 64, "installed memory in MB")
-		pool   = flag.Int("pool", 1, "server threads per RPC server")
-		cache  = flag.Int("cache", 0, "file-server buffer cache size in sectors (0 = off)")
-		cpus   = flag.Int("cpus", 1, "processing engines")
-		wl     = flag.String("workload", "file1", "traffic source: file1, file2, gfx-low, gfx-med, gfx-high, pm-med, pm-high")
+		boot   = cli.BootFlags()
+		wl     = flag.String("workload", "file1", "traffic source: "+cli.WorkloadNames)
 		format = flag.String("format", "text", "output: text, json")
 		read   = flag.String("read", "", "render a saved dump file instead of booting")
 		diff   = flag.Bool("diff", false, "diff two saved dump files (args: a.json b.json)")
@@ -53,74 +37,42 @@ func main() {
 
 	if *diff {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "kflight: -diff needs exactly two dump files")
-			os.Exit(2)
+			cli.Usagef("-diff needs exactly two dump files")
 		}
 		a, err := readFile(flag.Arg(0))
-		check(err)
+		cli.Check(err)
 		b, err := readFile(flag.Arg(1))
-		check(err)
+		cli.Check(err)
 		kflight.Diff(os.Stdout, a, b)
 		return
 	}
 	if *read != "" {
 		d, err := readFile(*read)
-		check(err)
+		cli.Check(err)
 		render(d, *format)
 		return
 	}
 
-	row, ok := workloads[*wl]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "kflight: unknown workload %q\n", *wl)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.MemoryMB = *mem
-	cfg.ServerPool = *pool
-	cfg.CacheSectors = *cache
-	cfg.CPUs = *cpus
-	switch *driver {
-	case "kernel":
-		cfg.Driver = core.DriverKernel
-	case "ooddm":
-		cfg.Driver = core.DriverOODDM
-	default:
-		cfg.Driver = core.DriverUser
-	}
-	cfg.ObjectMode = netsvc.FineGrained
-
-	s, err := core.Boot(cfg)
-	check(err)
-
-	_, err = workload.Run(row, s.WorkloadEnv())
-	check(err)
+	row := cli.Row(*wl)
+	s := boot.System()
+	_, err := workload.Run(row, s.WorkloadEnv())
+	cli.Check(err)
 
 	// The dump travels the same path a postmortem would: name-service
 	// lookup, monitor RPC, JSON in the reply's out-of-line region.
-	b, err := s.Names.Lookup("/servers/monitor")
-	check(err)
-	viewer := s.Kernel.NewTask("kflight-cli")
-	th, err := viewer.NewBoundThread("main")
-	check(err)
-	c, err := monitor.Connect(th, b.Task, b.Port)
-	check(err)
-	d, err := c.FlightDump()
-	check(err)
+	d, err := cli.Monitor(s, "kflight-cli").FlightDump()
+	cli.Check(err)
 	render(d, *format)
 }
 
 func render(d *kflight.Dump, format string) {
 	switch format {
 	case "json":
-		check(d.WriteJSON(os.Stdout))
+		cli.Check(d.WriteJSON(os.Stdout))
 	case "text":
-		check(d.WriteText(os.Stdout))
+		cli.Check(d.WriteText(os.Stdout))
 	default:
-		fmt.Fprintf(os.Stderr, "kflight: unknown format %q\n", format)
-		os.Exit(2)
+		cli.Usagef("unknown format %q", format)
 	}
 }
 
@@ -131,11 +83,4 @@ func readFile(path string) (*kflight.Dump, error) {
 	}
 	defer f.Close()
 	return kflight.ReadDump(f)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kflight:", err)
-		os.Exit(1)
-	}
 }

@@ -13,7 +13,8 @@
 //	klat -format json > tail.json         # raw dump
 //	klat -read tail.json                  # render a saved dump
 //
-// Boot flags mirror cmd/wpos: -driver, -mem, -pool, -cache, -cpus.
+// Boot flags are the shared set of internal/cli: -driver, -mem, -pool,
+// -cache, -cpus, -simple-names, -zerocopy, -batch.
 package main
 
 import (
@@ -21,31 +22,15 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/klat"
-	"repro/internal/monitor"
-	"repro/internal/netsvc"
 	"repro/internal/workload"
 )
 
-var workloads = map[string]workload.Row{
-	"file1":    workload.FileIntensive1,
-	"file2":    workload.FileIntensive2,
-	"gfx-low":  workload.GraphicsLow,
-	"gfx-med":  workload.GraphicsMedium,
-	"gfx-high": workload.GraphicsHigh,
-	"pm-med":   workload.PMTaskingMedium,
-	"pm-high":  workload.PMTaskingHigh,
-}
-
 func main() {
 	var (
-		driver = flag.String("driver", "user", "block driver model: user, kernel, ooddm")
-		mem    = flag.Int("mem", 64, "installed memory in MB")
-		pool   = flag.Int("pool", 1, "server threads per RPC server")
-		cache  = flag.Int("cache", 0, "file-server buffer cache size in sectors (0 = off)")
-		cpus   = flag.Int("cpus", 1, "processing engines")
-		wl     = flag.String("workload", "file1", "traffic source: file1, file2, gfx-low, gfx-med, gfx-high, pm-med, pm-high")
+		boot   = cli.BootFlags()
+		wl     = flag.String("workload", "file1", "traffic source: "+cli.WorkloadNames)
 		top    = flag.Int("top", 1, "exemplar waterfalls to show per (server, op) family")
 		format = flag.String("format", "text", "output: text, json")
 		read   = flag.String("read", "", "render a saved dump file instead of booting")
@@ -54,63 +39,33 @@ func main() {
 
 	if *read != "" {
 		f, err := os.Open(*read)
-		check(err)
+		cli.Check(err)
 		d, err := klat.ReadDump(f)
 		f.Close()
-		check(err)
+		cli.Check(err)
 		render(d, *format, *top)
 		return
 	}
 
-	row, ok := workloads[*wl]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "klat: unknown workload %q\n", *wl)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.MemoryMB = *mem
-	cfg.ServerPool = *pool
-	cfg.CacheSectors = *cache
-	cfg.CPUs = *cpus
-	switch *driver {
-	case "kernel":
-		cfg.Driver = core.DriverKernel
-	case "ooddm":
-		cfg.Driver = core.DriverOODDM
-	default:
-		cfg.Driver = core.DriverUser
-	}
-	cfg.ObjectMode = netsvc.FineGrained
-
-	s, err := core.Boot(cfg)
-	check(err)
-
-	_, err = workload.Run(row, s.WorkloadEnv())
-	check(err)
+	row := cli.Row(*wl)
+	s := boot.System()
+	_, err := workload.Run(row, s.WorkloadEnv())
+	cli.Check(err)
 
 	// The dump travels the same path a live operator query would:
 	// name-service lookup, monitor RPC, JSON in the reply's out-of-line
 	// region.
-	b, err := s.Names.Lookup("/servers/monitor")
-	check(err)
-	viewer := s.Kernel.NewTask("klat-cli")
-	th, err := viewer.NewBoundThread("main")
-	check(err)
-	c, err := monitor.Connect(th, b.Task, b.Port)
-	check(err)
-	d, err := c.TailDump()
-	check(err)
+	d, err := cli.Monitor(s, "klat-cli").TailDump()
+	cli.Check(err)
 	render(d, *format, *top)
 }
 
 func render(d *klat.Dump, format string, top int) {
 	switch format {
 	case "json":
-		check(d.WriteJSON(os.Stdout))
+		cli.Check(d.WriteJSON(os.Stdout))
 	case "text":
-		check(d.WriteText(os.Stdout))
+		cli.Check(d.WriteText(os.Stdout))
 		for i := range d.Families {
 			f := &d.Families[i]
 			for j := 0; j < len(f.Exemplars) && j < top; j++ {
@@ -119,14 +74,6 @@ func render(d *klat.Dump, format string, top int) {
 			}
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "klat: unknown format %q\n", format)
-		os.Exit(2)
-	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "klat:", err)
-		os.Exit(1)
+		cli.Usagef("unknown format %q", format)
 	}
 }

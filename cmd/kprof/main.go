@@ -13,7 +13,8 @@
 //	kprof -format json                    # raw profile
 //	kprof -eprof                          # run E-PROF and print the ledger
 //
-// Boot flags mirror cmd/wpos: -driver, -mem, -pool, -cache, -simple-names.
+// Boot flags are the shared set of internal/cli: -driver, -mem, -pool,
+// -cache, -cpus, -simple-names, -zerocopy, -batch.
 package main
 
 import (
@@ -23,32 +24,16 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/cpu"
 	"repro/internal/kprof"
-	"repro/internal/monitor"
-	"repro/internal/netsvc"
 	"repro/internal/workload"
 )
 
-var workloads = map[string]workload.Row{
-	"file1":    workload.FileIntensive1,
-	"file2":    workload.FileIntensive2,
-	"gfx-low":  workload.GraphicsLow,
-	"gfx-med":  workload.GraphicsMedium,
-	"gfx-high": workload.GraphicsHigh,
-	"pm-med":   workload.PMTaskingMedium,
-	"pm-high":  workload.PMTaskingHigh,
-}
-
 func main() {
 	var (
-		driver = flag.String("driver", "user", "block driver model: user, kernel, ooddm")
-		mem    = flag.Int("mem", 64, "installed memory in MB")
-		simple = flag.Bool("simple-names", false, "also start the Release 2 simplified name service")
-		pool   = flag.Int("pool", 1, "server threads per RPC server")
-		cache  = flag.Int("cache", 0, "file-server buffer cache size in sectors (0 = off)")
-		wl     = flag.String("workload", "file1", "traffic source: file1, file2, gfx-low, gfx-med, gfx-high, pm-med, pm-high")
+		boot   = cli.BootFlags()
+		wl     = flag.String("workload", "file1", "traffic source: "+cli.WorkloadNames)
 		format = flag.String("format", "regions", "output: regions, servers, kinds, folded, json")
 		topN   = flag.Int("top", 20, "rows to show in table formats (0 = all)")
 		eprof  = flag.Bool("eprof", false, "run the E-PROF experiment instead of a workload profile")
@@ -60,54 +45,25 @@ func main() {
 		return
 	}
 
-	row, ok := workloads[*wl]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "kprof: unknown workload %q\n", *wl)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.MemoryMB = *mem
-	cfg.SimpleNames = *simple
-	cfg.ServerPool = *pool
-	cfg.CacheSectors = *cache
-	switch *driver {
-	case "kernel":
-		cfg.Driver = core.DriverKernel
-	case "ooddm":
-		cfg.Driver = core.DriverOODDM
-	default:
-		cfg.Driver = core.DriverUser
-	}
-	cfg.ObjectMode = netsvc.FineGrained
-
-	s, err := core.Boot(cfg)
-	check(err)
+	row := cli.Row(*wl)
+	s := boot.System()
 
 	// The profile window is driven entirely over the system's own RPC:
 	// look the monitor up in the name service, start the window, run the
 	// workload, stop, fetch.
-	b, err := s.Names.Lookup("/servers/monitor")
-	check(err)
-	viewer := s.Kernel.NewTask("kprof-cli")
-	th, err := viewer.NewBoundThread("main")
-	check(err)
-	c, err := monitor.Connect(th, b.Task, b.Port)
-	check(err)
-
-	check(c.ProfStart())
+	c := cli.Monitor(s, "kprof-cli")
+	cli.Check(c.ProfStart())
 	res, err := workload.Run(row, s.WorkloadEnv())
-	check(err)
-	check(c.ProfStop())
+	cli.Check(err)
+	cli.Check(c.ProfStop())
 	prof, err := c.Profile()
-	check(err)
+	cli.Check(err)
 
 	switch *format {
 	case "folded":
-		check(prof.WriteFolded(os.Stdout))
+		cli.Check(prof.WriteFolded(os.Stdout))
 	case "json":
-		check(prof.WriteJSON(os.Stdout))
+		cli.Check(prof.WriteJSON(os.Stdout))
 	case "regions":
 		header(prof, res)
 		table("REGION", prof.ByRegion(), *topN)
@@ -118,8 +74,7 @@ func main() {
 		header(prof, res)
 		table("KIND", prof.ByKind(), 0)
 	default:
-		fmt.Fprintf(os.Stderr, "kprof: unknown format %q\n", *format)
-		os.Exit(2)
+		cli.Usagef("unknown format %q", *format)
 	}
 }
 
@@ -169,7 +124,7 @@ func table(label string, rows []kprof.Agg, topN int) {
 // trap-vs-RPC cycle gap.
 func runEPROF() {
 	res, err := bench.EPROF()
-	check(err)
+	cli.Check(err)
 	fmt.Println("E-PROF — exact profile of one thread_self trap vs one 32-byte RPC")
 	fmt.Printf("(paper Table 2: trap 970 cycles CPI 2.0, RPC 5163 cycles CPI 3.9, gap blamed on I-cache misses)\n\n")
 	fmt.Printf("%-12s %10s %10s %10s   exact\n", "OP", "CYCLES", "INSTR", "BUS")
@@ -191,11 +146,4 @@ func runEPROF() {
 	}
 	fmt.Printf("\nI-cache share of the gap: %.1f%% — the paper's attribution, now a number.\n",
 		100*res.IMissShare)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kprof:", err)
-		os.Exit(1)
-	}
 }

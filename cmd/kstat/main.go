@@ -12,7 +12,8 @@
 //	kstat -family mach.rpc.                 # filter to one metric family
 //	kstat -workload none                    # just the booted system
 //
-// Boot flags mirror cmd/wpos: -driver, -mem, -pool, -simple-names.
+// Boot flags are the shared set of internal/cli: -driver, -mem, -pool,
+// -cache, -cpus, -simple-names, -zerocopy, -batch.
 package main
 
 import (
@@ -24,33 +25,18 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/kstat"
 	"repro/internal/monitor"
-	"repro/internal/netsvc"
 	"repro/internal/workload"
 )
 
-var workloads = map[string]workload.Row{
-	"file1":    workload.FileIntensive1,
-	"file2":    workload.FileIntensive2,
-	"gfx-low":  workload.GraphicsLow,
-	"gfx-med":  workload.GraphicsMedium,
-	"gfx-high": workload.GraphicsHigh,
-	"pm-med":   workload.PMTaskingMedium,
-	"pm-high":  workload.PMTaskingHigh,
-}
-
 func main() {
 	var (
-		driver   = flag.String("driver", "user", "block driver model: user, kernel, ooddm")
-		mem      = flag.Int("mem", 64, "installed memory in MB")
-		simple   = flag.Bool("simple-names", false, "also start the Release 2 simplified name service")
-		pool     = flag.Int("pool", 1, "server threads per RPC server")
-		cache    = flag.Int("cache", 0, "file-server buffer cache size in sectors (0 = off)")
-		cpus     = flag.Int("cpus", 1, "number of processing engines (SMP complex when > 1)")
+		boot     = cli.BootFlags()
 		clients  = flag.Int("clients", 1, "concurrent copies of the workload (exercises the SMP dispatcher)")
-		wl       = flag.String("workload", "file1", "traffic source: file1, file2, gfx-low, gfx-med, gfx-high, pm-med, pm-high, none")
+		wl       = flag.String("workload", "file1", "traffic source: "+cli.WorkloadNames+", none")
 		format   = flag.String("format", "text", "output: text, json, prom, top")
 		family   = flag.String("family", "", "restrict output to metrics with this name prefix")
 		iters    = flag.Int("iters", 5, "top mode: workload iterations (one frame each)")
@@ -58,47 +44,18 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := core.DefaultConfig()
-	cfg.MemoryMB = *mem
-	cfg.CPUs = *cpus
-	cfg.SimpleNames = *simple
-	cfg.ServerPool = *pool
-	cfg.CacheSectors = *cache
-	switch *driver {
-	case "kernel":
-		cfg.Driver = core.DriverKernel
-	case "ooddm":
-		cfg.Driver = core.DriverOODDM
-	default:
-		cfg.Driver = core.DriverUser
-	}
-	cfg.ObjectMode = netsvc.FineGrained
-
-	row, haveRow := workloads[*wl]
-	if !haveRow && *wl != "none" {
-		fmt.Fprintf(os.Stderr, "kstat: unknown workload %q\n", *wl)
-		flag.Usage()
-		os.Exit(2)
+	var row workload.Row
+	haveRow := *wl != "none"
+	if haveRow {
+		row = cli.Row(*wl)
 	}
 
-	s, err := core.Boot(cfg)
-	check(err)
-
-	// Find the monitor through the name service and connect over RPC —
-	// the observability plane uses the same shared-service plumbing it
-	// observes.
-	b, err := s.Names.Lookup("/servers/monitor")
-	check(err)
-	viewer := s.Kernel.NewTask("kstat-cli")
-	th, err := viewer.NewBoundThread("main")
-	check(err)
-	c, err := monitor.Connect(th, b.Task, b.Port)
-	check(err)
+	s := boot.System()
+	c := cli.Monitor(s, "kstat-cli")
 
 	if *format == "top" {
 		if !haveRow {
-			fmt.Fprintln(os.Stderr, "kstat: top mode needs a workload to drive traffic")
-			os.Exit(2)
+			cli.Usagef("top mode needs a workload to drive traffic")
 		}
 		top(s, c, row, *iters, *interval)
 		return
@@ -123,30 +80,30 @@ func main() {
 			wg.Wait()
 			close(errs)
 			for err := range errs {
-				check(err)
+				cli.Check(err)
 			}
 		} else {
-			_, err = workload.Run(row, s.WorkloadEnv())
-			check(err)
+			_, err := workload.Run(row, s.WorkloadEnv())
+			cli.Check(err)
 		}
 	}
 	var snap kstat.Snapshot
+	var err error
 	if *family != "" {
 		snap, err = c.Family(*family)
 	} else {
 		snap, _, err = c.Snapshot()
 	}
-	check(err)
+	cli.Check(err)
 	switch *format {
 	case "text":
-		check(kstat.WriteText(os.Stdout, snap))
+		cli.Check(kstat.WriteText(os.Stdout, snap))
 	case "json":
-		check(kstat.WriteJSON(os.Stdout, snap))
+		cli.Check(kstat.WriteJSON(os.Stdout, snap))
 	case "prom":
-		check(kstat.WriteProm(os.Stdout, snap))
+		cli.Check(kstat.WriteProm(os.Stdout, snap))
 	default:
-		fmt.Fprintf(os.Stderr, "kstat: unknown format %q\n", *format)
-		os.Exit(2)
+		cli.Usagef("unknown format %q", *format)
 	}
 }
 
@@ -154,16 +111,16 @@ func main() {
 // monitor for the delta since the previous frame, and redraws.
 func top(s *core.System, c *monitor.Client, row workload.Row, iters int, interval time.Duration) {
 	_, baseline, err := c.Snapshot()
-	check(err)
+	cli.Check(err)
 	// Per-engine cycle gauges are absolute; utilization needs the
 	// frame-to-frame delta, kept here across frames.
 	prevCyc := map[int]int64{}
 	for i := 0; i < iters; i++ {
 		start := time.Now()
 		res, err := workload.Run(row, s.WorkloadEnv())
-		check(err)
+		cli.Check(err)
 		d, next, err := c.DeltaSince(baseline)
-		check(err)
+		cli.Check(err)
 		baseline = next
 		fmt.Print("\x1b[2J\x1b[H") // clear screen, home cursor
 		renderFrame(d, res, i+1, iters, time.Since(start), prevCyc)
@@ -288,12 +245,5 @@ func renderFrame(d kstat.Snapshot, res workload.Result, frame, iters int, wall t
 		if d.Counters[r.a]+d.Counters[r.b] > 0 {
 			fmt.Printf("%-8s %s=%d %s=%d\n", r.label, r.a, d.Counters[r.a], r.b, d.Counters[r.b])
 		}
-	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kstat:", err)
-		os.Exit(1)
 	}
 }

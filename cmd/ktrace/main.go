@@ -18,24 +18,15 @@ import (
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/ktrace"
 	"repro/internal/workload"
 )
 
-var workloads = map[string]workload.Row{
-	"file1":    workload.FileIntensive1,
-	"file2":    workload.FileIntensive2,
-	"gfx-low":  workload.GraphicsLow,
-	"gfx-med":  workload.GraphicsMedium,
-	"gfx-high": workload.GraphicsHigh,
-	"pm-med":   workload.PMTaskingMedium,
-	"pm-high":  workload.PMTaskingHigh,
-}
-
 func main() {
 	var (
-		wl     = flag.String("workload", "file1", "workload: file1, file2, gfx-low, gfx-med, gfx-high, pm-med, pm-high")
+		wl     = flag.String("workload", "file1", "workload: "+cli.WorkloadNames)
 		format = flag.String("format", "summary", "output: chrome, summary, tree, attr")
 		out    = flag.String("o", "", "output file (default stdout)")
 		ring   = flag.Int("ring", ktrace.DefaultRingSize, "trace ring capacity in events")
@@ -43,63 +34,43 @@ func main() {
 	)
 	flag.Parse()
 
-	row, ok := workloads[*wl]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ktrace: unknown workload %q\n", *wl)
-		flag.Usage()
-		os.Exit(2)
-	}
+	row := cli.Row(*wl)
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
 		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
+		cli.Check(err)
 		defer f.Close()
 		w = f
 	}
 
 	if *format == "attr" {
 		res, err := bench.Attribution(row)
-		if err != nil {
-			fatal(err)
-		}
+		cli.Check(err)
 		printAttribution(w, res)
 		return
 	}
 
 	sys, err := core.Boot(core.DefaultConfig())
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 	tr := ktrace.AttachSized(sys.Kernel.CPU, *ring)
 	res, err := workload.Run(row, sys.WorkloadEnv())
-	if err != nil {
-		fatal(err)
-	}
+	cli.Check(err)
 
 	switch *format {
 	case "chrome":
 		// Buffer the per-event stream: a full ring is hundreds of
 		// thousands of small writes, but never the whole JSON in memory.
 		bw := bufio.NewWriter(w)
-		if err := ktrace.WriteChromeTrace(bw, tr.Events()); err != nil {
-			fatal(err)
-		}
-		if err := bw.Flush(); err != nil {
-			fatal(err)
-		}
+		cli.Check(ktrace.WriteChromeTrace(bw, tr.Events()))
+		cli.Check(bw.Flush())
 	case "summary":
 		fmt.Fprintf(w, "%s on %s: %d cycles\n\n", res.Row, res.Env, res.Cycles)
-		if err := ktrace.WriteSummary(w, tr); err != nil {
-			fatal(err)
-		}
+		cli.Check(ktrace.WriteSummary(w, tr))
 	case "tree":
 		ktrace.WriteTree(w, tr.Events(), *trees)
 	default:
-		fmt.Fprintf(os.Stderr, "ktrace: unknown format %q\n", *format)
-		os.Exit(2)
+		cli.Usagef("unknown format %q", *format)
 	}
 }
 
@@ -128,9 +99,4 @@ func crossing(sub string) bool {
 		return true
 	}
 	return false
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ktrace:", err)
-	os.Exit(1)
 }

@@ -13,45 +13,15 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/mvm"
-	"repro/internal/netsvc"
 )
 
 func main() {
-	driver := flag.String("driver", "user", "block driver model: user, kernel, ooddm")
-	mem := flag.Int("mem", 64, "installed memory in MB")
-	simple := flag.Bool("simple-names", false, "also start the Release 2 simplified name service")
-	pool := flag.Int("pool", 1, "server threads per RPC server (Release 2 multi-threaded servers when > 1)")
-	cache := flag.Int("cache", 0, "file-server buffer cache size in sectors (0 = off, the seed path)")
-	cpus := flag.Int("cpus", 1, "number of processing engines (SMP complex when > 1)")
-	zerocopy := flag.Bool("zerocopy", false, "move page-sized file payloads by out-of-line region descriptor (zero per-byte copy)")
-	batch := flag.Bool("batch", false, "vector hot-path RPC batches (readdir+stat, write-behind flush) into single crossings")
+	boot := cli.BootFlags()
 	flag.Parse()
 
-	cfg := core.DefaultConfig()
-	cfg.MemoryMB = *mem
-	cfg.CPUs = *cpus
-	cfg.SimpleNames = *simple
-	cfg.ServerPool = *pool
-	cfg.CacheSectors = *cache
-	cfg.ZeroCopy = *zerocopy
-	cfg.BatchRPC = *batch
-	switch *driver {
-	case "kernel":
-		cfg.Driver = core.DriverKernel
-	case "ooddm":
-		cfg.Driver = core.DriverOODDM
-	default:
-		cfg.Driver = core.DriverUser
-	}
-	cfg.ObjectMode = netsvc.FineGrained
-
-	s, err := core.Boot(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "boot failed:", err)
-		os.Exit(1)
-	}
+	s := boot.System()
 	fmt.Println("Workplace OS booted.")
 	for _, l := range s.BootLog() {
 		fmt.Println("  *", l)
@@ -62,7 +32,7 @@ func main() {
 
 	// OS/2 writes a file on the FAT boot volume.
 	op, err := s.OS2.CreateProcess("demo.exe")
-	check(err)
+	cli.Check(err)
 	h, e := op.DosOpen("/HELLO.TXT", true, true)
 	checkOS2("DosOpen", e == 0)
 	_, e = op.DosWrite(h, []byte("hello from OS/2\n"))
@@ -72,7 +42,7 @@ func main() {
 
 	// POSIX reads it back.
 	pp, err := s.POSIX.Spawn("cat")
-	check(err)
+	cli.Check(err)
 	fd, pe := pp.Open("/hello.txt", 0)
 	checkOS2("posix open", pe == 0)
 	buf := make([]byte, 64)
@@ -82,7 +52,7 @@ func main() {
 
 	// A DOS guest prints through MVM's virtual device drivers.
 	v, err := s.MVM.NewVM("hello.com", mvm.Translate)
-	check(err)
+	cli.Check(err)
 	a := mvm.NewAsm()
 	for _, ch := range "DOS lives\n" {
 		a.MovImm(mvm.AX, 0x0200)
@@ -91,15 +61,15 @@ func main() {
 	}
 	a.Hlt()
 	prog, err := a.Assemble()
-	check(err)
-	check(v.Load(prog))
-	check(v.Run(100000))
+	cli.Check(err)
+	cli.Check(v.Load(prog))
+	cli.Check(v.Run(100000))
 	fmt.Printf("mvm:   guest wrote %q to the console (translated, %d guest instructions)\n",
 		s.Console.Contents(), v.GuestInstrs)
 
 	// Name-service view.
 	kids, err := s.Names.Search("/", "class", "")
-	check(err)
+	cli.Check(err)
 	fmt.Printf("names: %d bound services: %v\n", len(kids), kids)
 
 	c := s.Kernel.CPU.Counters()
@@ -111,13 +81,6 @@ func main() {
 			fmt.Printf("  e%d: %12d cycles  %6d dispatches  %4d migrations  %4d steals\n",
 				st.Slot, st.Cycles, st.Dispatches, st.Migrations, st.Steals)
 		}
-	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wpos:", err)
-		os.Exit(1)
 	}
 }
 

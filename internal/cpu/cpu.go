@@ -16,6 +16,7 @@ package cpu
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Config describes the modeled processor.
@@ -345,8 +346,13 @@ type Engine struct {
 
 	// prof, when set, receives every charge as it lands (used by
 	// internal/kprof).  Observation-only: the nil check is the entire
-	// disabled fast path.
-	prof ProfSink
+	// disabled fast path.  Written under mu, so a charge in flight never
+	// outlives a SetProfSink; loaded atomically, so kprof.For needs no
+	// lock.
+	prof atomic.Pointer[ProfSink]
+	// planes holds the observation planes attached to this engine, one
+	// slot per Plane (see Engine.Plane).
+	planes [numPlanes]atomic.Pointer[any]
 	// curRegion is the name of the most recently executed code region,
 	// the attribution target for charges with no code footprint of their
 	// own (data traffic, stalls, switches).
@@ -462,8 +468,8 @@ func (e *Engine) chargeInstr(n uint64) {
 	whole := e.ctr.cpiFrac / 100
 	e.ctr.cpiFrac %= 100
 	e.ctr.Cycles += whole
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfBase, whole, 0, n)
+	if s := e.prof.Load(); s != nil {
+		(*s).ProfCharge(e.curRegion, ProfBase, whole, 0, n)
 	}
 }
 
@@ -471,8 +477,8 @@ func (e *Engine) chargeIMiss() {
 	e.ctr.ICacheMisses++
 	e.ctr.Cycles += e.cfg.MissLatency
 	e.ctr.BusCycles += e.cfg.BusPerLine
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfIMiss, e.cfg.MissLatency, e.cfg.BusPerLine, 0)
+	if s := e.prof.Load(); s != nil {
+		(*s).ProfCharge(e.curRegion, ProfIMiss, e.cfg.MissLatency, e.cfg.BusPerLine, 0)
 	}
 }
 
@@ -480,8 +486,8 @@ func (e *Engine) chargeDMiss() {
 	e.ctr.DCacheMisses++
 	e.ctr.Cycles += e.cfg.MissLatency
 	e.ctr.BusCycles += e.cfg.BusPerLine
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfDMiss, e.cfg.MissLatency, e.cfg.BusPerLine, 0)
+	if s := e.prof.Load(); s != nil {
+		(*s).ProfCharge(e.curRegion, ProfDMiss, e.cfg.MissLatency, e.cfg.BusPerLine, 0)
 	}
 }
 
@@ -490,8 +496,8 @@ func (e *Engine) chargeTLB(addr uint64) {
 		e.ctr.TLBMisses++
 		e.ctr.Cycles += e.cfg.TLBMissCycles
 		e.ctr.BusCycles += e.cfg.TLBMissBus
-		if e.prof != nil {
-			e.prof.ProfCharge(e.curRegion, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus, 0)
+		if s := e.prof.Load(); s != nil {
+			(*s).ProfCharge(e.curRegion, ProfTLB, e.cfg.TLBMissCycles, e.cfg.TLBMissBus, 0)
 		}
 	}
 }
@@ -607,8 +613,8 @@ func (e *Engine) SwitchAddressSpace(asid uint64) {
 	e.asid = asid
 	e.ctr.Switches++
 	e.ctr.Cycles += e.cfg.SwitchCycles
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfSwitch, e.cfg.SwitchCycles, 0, 0)
+	if s := e.prof.Load(); s != nil {
+		(*s).ProfCharge(e.curRegion, ProfSwitch, e.cfg.SwitchCycles, 0, 0)
 	}
 	e.tlb.flush()
 	obs, ctr := e.switchObs, e.ctr
@@ -643,8 +649,8 @@ func (e *Engine) Stall(cycles uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ctr.Cycles += cycles
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfStall, cycles, 0, 0)
+	if s := e.prof.Load(); s != nil {
+		(*s).ProfCharge(e.curRegion, ProfStall, cycles, 0, 0)
 	}
 }
 
@@ -666,8 +672,8 @@ func (e *Engine) Overhead(cycles, bus uint64) {
 	defer e.mu.Unlock()
 	e.ctr.Cycles += cycles
 	e.ctr.BusCycles += bus
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfStall, cycles, bus, 0)
+	if s := e.prof.Load(); s != nil {
+		(*s).ProfCharge(e.curRegion, ProfStall, cycles, bus, 0)
 	}
 }
 
@@ -682,18 +688,95 @@ func (e *Engine) Migrate() {
 	defer e.mu.Unlock()
 	e.ctr.Cycles += e.cfg.MigrateCycles
 	e.ctr.BusCycles += e.cfg.MigrateBus
-	if e.prof != nil {
-		e.prof.ProfCharge(e.curRegion, ProfMigrate, e.cfg.MigrateCycles, e.cfg.MigrateBus, 0)
+	if s := e.prof.Load(); s != nil {
+		(*s).ProfCharge(e.curRegion, ProfMigrate, e.cfg.MigrateCycles, e.cfg.MigrateBus, 0)
 	}
 }
 
 // SetProfSink installs (or, with nil, removes) the per-charge profiler
 // sink.  The sink runs under the engine lock and must not charge costs —
 // attaching one never changes modeled cycle counts.  The hook is
-// engine-local (never routed): observers that want every engine of a
-// Complex install on each one (see kprof.Attach, ktrace.AttachSized).
+// engine-local (never routed): kprof.Attach installs on every engine of
+// a Complex, and kprof.For reads the router's sink back, so the sink is
+// the profiler's only attach point.
 func (e *Engine) SetProfSink(s ProfSink) {
 	e.mu.Lock()
-	e.prof = s
+	e.storeProfSink(s)
 	e.mu.Unlock()
+}
+
+// CompareAndSwapProfSink installs s if the current sink is old (nil for
+// none) and reports whether it did.
+func (e *Engine) CompareAndSwapProfSink(old, s ProfSink) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ProfSink() != old {
+		return false
+	}
+	e.storeProfSink(s)
+	return true
+}
+
+// storeProfSink publishes s (nil removes the sink).  Called with e.mu held.
+func (e *Engine) storeProfSink(s ProfSink) {
+	if s == nil {
+		e.prof.Store(nil)
+		return
+	}
+	e.prof.Store(&s)
+}
+
+// ProfSink returns the installed profiler sink, or nil.  Lock-free.
+func (e *Engine) ProfSink() ProfSink {
+	if s := e.prof.Load(); s != nil {
+		return *s
+	}
+	return nil
+}
+
+// Plane names an observation plane's attach slot on an Engine.  This
+// package cannot import the planes, so each plane package stores its own
+// type in its slot and type-asserts it back.  The profiler has no slot:
+// its ProfSink is where it is attached.
+type Plane int
+
+const (
+	PlaneStat   Plane = iota // internal/kstat
+	PlaneTrace               // internal/ktrace
+	PlaneFlight              // internal/kflight
+	PlaneLat                 // internal/klat
+	numPlanes
+)
+
+// Plane returns the value attached at slot p, or nil.  It is lock-free:
+// every observation hook in the system starts here, and nil is the
+// detached fast path.  Because the engine holds its planes, a dropped
+// system is collected with them, attached or not.
+func (e *Engine) Plane(p Plane) any {
+	if v := e.planes[p].Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// SetPlane attaches v at slot p, replacing any value there; nil detaches.
+func (e *Engine) SetPlane(p Plane, v any) {
+	if v == nil {
+		e.planes[p].Store(nil)
+		return
+	}
+	e.planes[p].Store(&v)
+}
+
+// AttachPlane attaches v at slot p unless a value is already attached,
+// and returns the value attached at p afterwards.
+func (e *Engine) AttachPlane(p Plane, v any) any {
+	for {
+		if cur := e.planes[p].Load(); cur != nil {
+			return *cur
+		}
+		if e.planes[p].CompareAndSwap(nil, &v) {
+			return v
+		}
+	}
 }

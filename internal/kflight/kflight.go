@@ -25,7 +25,7 @@
 // counters but never charge the cost model, so a run with the recorder
 // attached models bit-identical cycles to a detached run (gated by
 // TestFlightWorkloadObservationOnly).  When detached, every hook is one
-// registry lookup.
+// load of the engine's plane slot.
 package kflight
 
 import (
@@ -193,15 +193,10 @@ func (r *Recorder) EngineDumps() []EngineDump {
 	return out
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attach point ---------------------------------------------------
 
-// registry maps *cpu.Engine -> *Recorder, the same idiom as kstat's,
-// ktrace's and kprof's registries: mach hook points consult it, a miss is
-// the disabled fast path.
-var registry sync.Map
-
-// Attach creates a recorder with the default ring size and registers it
-// for the engine's hook points (or returns the one already attached).
+// Attach creates a recorder with the default ring size and attaches it to
+// the engine's hook points (or returns the one already attached).
 func Attach(eng *cpu.Engine) *Recorder {
 	return AttachSized(eng, DefaultRingSize)
 }
@@ -211,23 +206,18 @@ func AttachSized(eng *cpu.Engine, capacity int) *Recorder {
 	if r := For(eng); r != nil {
 		return r
 	}
-	r := NewRecorder(eng, capacity)
-	actual, _ := registry.LoadOrStore(eng, r)
-	return actual.(*Recorder)
+	return eng.AttachPlane(cpu.PlaneFlight, NewRecorder(eng, capacity)).(*Recorder)
 }
 
-// Detach unregisters the engine's recorder; subsequent hook calls become
+// Detach removes the engine's recorder; subsequent hook calls become
 // no-ops again.
 func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
+	eng.SetPlane(cpu.PlaneFlight, nil)
 }
 
 // For returns the engine's recorder, or nil when detached.  This is the
 // hook-point fast path.
 func For(eng *cpu.Engine) *Recorder {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Recorder)
+	r, _ := eng.Plane(cpu.PlaneFlight).(*Recorder)
+	return r
 }

@@ -360,31 +360,24 @@ type Tracker struct {
 	fams map[famKey]*family
 }
 
-// registry maps *cpu.Engine -> *Tracker, exactly as kstat's: hook
-// points consult it, a miss is the disabled fast path.
-var registry sync.Map
-
-// Attach creates a tracker for the engine (replacing any prior one) and
-// registers it for the RPC path's hook points.
+// Attach creates a tracker for the engine and attaches it to the RPC
+// path's hook points, replacing any tracker already attached.
 func Attach(eng *cpu.Engine) *Tracker {
 	t := &Tracker{eng: eng, cfg: eng.Config(), fams: make(map[famKey]*family)}
-	registry.Store(eng, t)
+	eng.SetPlane(cpu.PlaneLat, t)
 	return t
 }
 
-// Detach unregisters the engine's tracker; hooks become no-ops again.
+// Detach removes the engine's tracker; hooks become no-ops again.
 func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
+	eng.SetPlane(cpu.PlaneLat, nil)
 }
 
 // For returns the engine's tracker, or nil when the plane is disabled.
-// This is the hook-point fast path.
+// This is the hook-point fast path: one load of the engine's plane slot.
 func For(eng *cpu.Engine) *Tracker {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Tracker)
+	t, _ := eng.Plane(cpu.PlaneLat).(*Tracker)
+	return t
 }
 
 // Begin opens a hop for one outgoing call and stamps P0.  When parent

@@ -20,7 +20,8 @@
 // the engine charges but never charges anything itself, so modeled cycle
 // counts are bit-identical with the profiler attached or detached (gated
 // by TestProfWorkloadObservationOnly).  When detached the engine's hook
-// is a nil check; mach's context pushes reduce to one registry lookup.
+// is a nil check; mach's context pushes reduce to one load of the
+// engine's profiler sink, which is also where the profiler is attached.
 //
 // Exactness contract, precisely: the *region* and *kind* dimensions are
 // deterministic and exact — they are recorded under the engine lock at
@@ -29,7 +30,11 @@
 // threads interleave on one global stack, so with a multi-threaded
 // workload a cycle can land under a neighbor's frame.  Under the
 // client-blocks-on-RPC serial discipline (every Table 2 measurement, the
-// E-PROF rig) the context is exact too.
+// E-PROF rig) the context is exact too, because each side pops its frames
+// before it hands control to the other: a server loop pops its serve:
+// and op: frames before the reply wakes the client (the serving mach
+// thread holds the Frame for that), so the client's trap exit and
+// reschedule land under the client's own frames on every run.
 package kprof
 
 import (
@@ -109,26 +114,46 @@ func (s slotSink) ProfCharge(region string, kind cpu.ProfKind, cycles, bus, inst
 }
 
 // Push enters a context frame ("rpc:vfs", "trap:thread_self",
-// "serve:vfs/worker/0", "op:0x0201") and returns the matching pop.  The
-// pop is depth-anchored: it truncates the stack back to the depth at
-// which the frame was pushed, so a missed inner pop cannot leave the
-// stack permanently skewed.  Use as:
+// "serve:vfs/worker/0", "op:0x0201") and returns its Frame, the token
+// that pops it.  Nil-safe: a nil Profiler returns the zero Frame, whose
+// Pop does nothing.  Use as:
 //
-//	defer p.Push("rpc:" + srv)()
-func (p *Profiler) Push(frame string) func() {
+//	defer p.Push("rpc:" + srv).Pop()
+func (p *Profiler) Push(frame string) Frame {
+	if p == nil {
+		return Frame{}
+	}
 	p.mu.Lock()
 	depth := len(p.stack)
 	p.stack = append(p.stack, frame)
 	p.rejoin()
 	p.mu.Unlock()
-	return func() {
-		p.mu.Lock()
-		if len(p.stack) > depth {
-			p.stack = p.stack[:depth]
-			p.rejoin()
-		}
-		p.mu.Unlock()
+	return Frame{p: p, depth: depth}
+}
+
+// Frame is a pushed context frame.  Popping is depth-anchored: it
+// truncates the stack back to the depth at which the frame was pushed,
+// so it also pops any frame pushed above it, and a missed inner pop
+// cannot leave the stack permanently skewed.  A Frame is a value, so
+// holding one allocates nothing.
+type Frame struct {
+	p     *Profiler
+	depth int
+}
+
+// Pop leaves the frame (and every frame above it).  Popping the zero
+// Frame does nothing.
+func (f Frame) Pop() {
+	p := f.p
+	if p == nil {
+		return
 	}
+	p.mu.Lock()
+	if len(p.stack) > f.depth {
+		p.stack = p.stack[:f.depth]
+		p.rejoin()
+	}
+	p.mu.Unlock()
 }
 
 // rejoin rebuilds the cached joined context.  Called with p.mu held.
@@ -228,37 +253,29 @@ func (p *Profiler) Snapshot() Profile {
 	return prof
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attach point ---------------------------------------------------
 
-// registry maps *cpu.Engine -> *Profiler, the same idiom as kstat's and
-// ktrace's registries: mach hook points consult it, a miss is the
-// disabled fast path.
-var registry sync.Map
-
-// Attach creates a Profiler for the engine (or returns the existing one),
-// installs it as the engine's ProfSink, and registers it for the mach
-// context hooks.  On the router of a Complex the sink is installed on
-// every engine — slot 0 gets the Profiler itself, the rest slotSink
-// wrappers — so samples carry the engine the charge landed on.  The
-// profiler starts disabled; call Enable to open an attribution window.
+// Attach creates a Profiler for the engine (or returns the one already
+// attached) and installs it as the engine's ProfSink, which is both its
+// charge hook and its attach point.  On the router of a Complex the sink
+// is installed on every engine — slot 0 gets the Profiler itself, the
+// rest slotSink wrappers — so samples carry the engine the charge landed
+// on.  The profiler starts disabled; call Enable to open an attribution
+// window.
 func Attach(eng *cpu.Engine) *Profiler {
-	if p := For(eng); p != nil {
-		return p
-	}
 	p := &Profiler{eng: eng, cells: make(map[cellKey]*cell)}
-	actual, loaded := registry.LoadOrStore(eng, p)
-	p = actual.(*Profiler)
-	if !loaded {
-		if cx := eng.Complex(); cx != nil {
-			for _, e := range cx.Engines() {
-				if e.Slot() == 0 {
-					e.SetProfSink(p)
-				} else {
-					e.SetProfSink(slotSink{p: p, slot: e.Slot()})
-				}
-			}
-		} else {
-			eng.SetProfSink(p)
+	for {
+		cur := eng.ProfSink()
+		if q, ok := cur.(*Profiler); ok {
+			return q
+		}
+		if eng.CompareAndSwapProfSink(cur, p) {
+			break
+		}
+	}
+	if cx := eng.Complex(); cx != nil {
+		for _, e := range cx.Engines()[1:] {
+			e.SetProfSink(slotSink{p: p, slot: e.Slot()})
 		}
 	}
 	return p
@@ -271,18 +288,14 @@ func Detach(eng *cpu.Engine) {
 		for _, e := range cx.Engines() {
 			e.SetProfSink(nil)
 		}
-	} else {
-		eng.SetProfSink(nil)
+		return
 	}
-	registry.Delete(eng)
+	eng.SetProfSink(nil)
 }
 
 // For returns the engine's Profiler, or nil when profiling is detached.
 // This is the mach hook-point fast path.
 func For(eng *cpu.Engine) *Profiler {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Profiler)
+	p, _ := eng.ProfSink().(*Profiler)
+	return p
 }

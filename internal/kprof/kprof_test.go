@@ -121,9 +121,9 @@ func TestContextStack(t *testing.T) {
 	popRPC := p.Push("rpc:vfs")
 	popOp := p.Push("op:0x0201")
 	eng.Exec(ra)
-	popOp()
+	popOp.Pop()
 	eng.Exec(ra)
-	popRPC()
+	popRPC.Pop()
 	eng.Exec(ra)
 
 	prof := p.Snapshot()
@@ -145,7 +145,7 @@ func TestContextStack(t *testing.T) {
 	// Missed inner pop: the outer pop truncates past it.
 	popOuter := p.Push("serve:fs")
 	p.Push("op:0x0100") // pop lost
-	popOuter()
+	popOuter.Pop()
 	if d := p.Depth(); d != 0 {
 		t.Fatalf("depth after anchored outer pop = %d, want 0", d)
 	}
@@ -186,7 +186,7 @@ func TestFoldedAndJSON(t *testing.T) {
 	eng, p, ra, _ := rig(t)
 	pop := p.Push("rpc:vfs")
 	eng.Exec(ra)
-	pop()
+	pop.Pop()
 	prof := p.Snapshot()
 
 	var folded bytes.Buffer
@@ -267,7 +267,7 @@ func TestConcurrent(t *testing.T) {
 				} else {
 					eng.Exec(rb)
 				}
-				pop()
+				pop.Pop()
 			}
 		}(i)
 	}

@@ -17,7 +17,8 @@
 // charge them, so modeled cycle counts — the Table 1 and Table 2
 // reproductions — are bit-identical with kstat enabled or disabled
 // (gated by bench.CounterTable2 and TestKstatObservationOnly).  When no
-// Set is attached to an engine the hooks reduce to one registry lookup.
+// Set is attached to an engine the hooks reduce to one load of the
+// engine's plane slot.
 //
 // Family naming convention (dotted, lower-case):
 //
@@ -240,37 +241,24 @@ func (s Snapshot) Names() []string {
 	return out
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attach point ---------------------------------------------------
 
-// registry maps *cpu.Engine -> *Set, exactly as ktrace's tracer registry:
-// hook points consult it, a miss is the disabled fast path.
-var registry sync.Map
-
-// Attach creates a fresh Set and registers it for the engine's hook
-// points.
+// Attach creates a fresh Set and attaches it to the engine's hook points,
+// replacing any Set already attached.
 func Attach(eng *cpu.Engine) *Set {
 	s := NewSet()
-	registry.Store(eng, s)
+	eng.SetPlane(cpu.PlaneStat, s)
 	return s
 }
 
-// AttachSet registers an existing Set (so several engines can share one,
-// or a test can pre-build families).
-func AttachSet(eng *cpu.Engine, s *Set) {
-	registry.Store(eng, s)
-}
-
-// Detach unregisters the engine's Set; hooks become no-ops again.
+// Detach removes the engine's Set; hooks become no-ops again.
 func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
+	eng.SetPlane(cpu.PlaneStat, nil)
 }
 
 // For returns the engine's Set, or nil when metrics are disabled.  This
 // is the hook-point fast path.
 func For(eng *cpu.Engine) *Set {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Set)
+	s, _ := eng.Plane(cpu.PlaneStat).(*Set)
+	return s
 }

@@ -99,10 +99,9 @@ func TestRegistry(t *testing.T) {
 	if For(eng) != nil {
 		t.Fatal("Detach left the Set registered")
 	}
-	shared := NewSet()
-	AttachSet(eng, shared)
-	if For(eng) != shared {
-		t.Fatal("AttachSet did not register the shared Set")
+	first, second := Attach(eng), Attach(eng)
+	if first == second || For(eng) != second {
+		t.Fatal("Attach did not replace the attached Set")
 	}
 	Detach(eng)
 }

@@ -11,7 +11,7 @@
 // but never charge the engine, so a traced run produces bit-identical
 // cpu.Counters to an untraced run and the Table 1 / Table 2 calibration
 // gates are unaffected.  When no tracer is attached the hooks reduce to
-// one registry lookup and do nothing.
+// one load of the engine's plane slot and do nothing.
 //
 // Span correlation: spans carry a (TraceID, SpanID) context that
 // internal/mach propagates inside messages, so an OS/2 DosOpen can be
@@ -299,14 +299,11 @@ func (t *Tracer) Reset() {
 	t.open = t.open[:0]
 }
 
-// --- engine registry -------------------------------------------------------
+// --- engine attach point ---------------------------------------------------
 
-// registry maps *cpu.Engine -> *Tracer.  Hook points all over the
-// simulated system consult it; a miss is the disabled fast path.
-var registry sync.Map
-
-// Attach creates a tracer with the default ring size, registers it for
-// the engine's hook points, and subscribes to address-space switches.
+// Attach creates a tracer with the default ring size, attaches it to the
+// engine's hook points (replacing any tracer already attached), and
+// subscribes to address-space switches.
 func Attach(eng *cpu.Engine) *Tracer {
 	return AttachSized(eng, DefaultRingSize)
 }
@@ -317,7 +314,7 @@ func Attach(eng *cpu.Engine) *Tracer {
 // visible per CPU.
 func AttachSized(eng *cpu.Engine, capacity int) *Tracer {
 	t := NewTracer(eng, capacity)
-	registry.Store(eng, t)
+	eng.SetPlane(cpu.PlaneTrace, t)
 	obs := func(slot int) func(asid uint64, ctr cpu.Counters) {
 		return func(asid uint64, ctr cpu.Counters) {
 			t.mu.Lock()
@@ -343,10 +340,10 @@ func AttachSized(eng *cpu.Engine, capacity int) *Tracer {
 	return t
 }
 
-// Detach unregisters the engine's tracer; subsequent hook calls become
+// Detach removes the engine's tracer; subsequent hook calls become
 // no-ops again.
 func Detach(eng *cpu.Engine) {
-	registry.Delete(eng)
+	eng.SetPlane(cpu.PlaneTrace, nil)
 	if cx := eng.Complex(); cx != nil {
 		for _, e := range cx.Engines() {
 			e.SetSwitchObserver(nil)
@@ -359,9 +356,6 @@ func Detach(eng *cpu.Engine) {
 // For returns the engine's tracer, or nil when tracing is disabled.  This
 // is the hook-point fast path.
 func For(eng *cpu.Engine) *Tracer {
-	v, ok := registry.Load(eng)
-	if !ok {
-		return nil
-	}
-	return v.(*Tracer)
+	t, _ := eng.Plane(cpu.PlaneTrace).(*Tracer)
+	return t
 }

@@ -279,7 +279,7 @@ func (k *Kernel) allocPortID() uint64 {
 // their trap-based service entries.
 func (k *Kernel) Trap(path cpu.Region) {
 	if p := kprof.For(k.CPU); p != nil {
-		defer p.Push("trap:" + path.Name)()
+		defer p.Push("trap:" + path.Name).Pop()
 	}
 	k.trap()
 	if path.Instr > 0 {

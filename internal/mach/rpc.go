@@ -231,7 +231,7 @@ func (th *Thread) rpcCall(dest PortName, req *Message, parent klat.Ctx, deadline
 			}()
 		}
 		if pr != nil {
-			defer pr.Push(dn.rpc)()
+			defer pr.Push(dn.rpc).Pop()
 		}
 		if st != nil {
 			// Calls and request bytes count at dispatch, so a server
@@ -547,7 +547,7 @@ func (k *Kernel) chargeRegions(m *Message) {
 		return
 	}
 	if pr := kprof.For(k.CPU); pr != nil {
-		defer pr.Push("xfer:region_map")()
+		defer pr.Push("xfer:region_map").Pop()
 	}
 	for i := range m.Regions {
 		for p, n := uint64(0), m.Regions[i].Pages(); p < n; p++ {
@@ -603,8 +603,22 @@ func (r *Responder) mismatch() error {
 	}
 	r.done = true
 	r.endBurst()
-	r.ex.fail(ErrReplyFailed)
+	r.fail(ErrReplyFailed)
 	return ErrBatchMismatch
+}
+
+// endServe closes the thread's serve window, once.
+func (th *Thread) endServe() {
+	th.serveFrame.Pop()
+	th.serveFrame = kprof.Frame{}
+	th.serveSpan.End()
+	th.serveSpan = ktrace.Span{}
+}
+
+// fail closes the serve window and unblocks the client with err.
+func (r *Responder) fail(err error) {
+	r.srv.endServe()
+	r.ex.fail(err)
 }
 
 // endBurst ends the server burst the receive hand-off placed, once.
@@ -627,16 +641,16 @@ func (r *Responder) deliver(reply *Message) error {
 		reply = &Message{}
 	}
 	if len(reply.Body) > InlineMax {
-		r.ex.fail(ErrReplyFailed)
+		r.fail(ErrReplyFailed)
 		return ErrMsgTooLarge
 	}
 	for _, sub := range reply.batch {
 		if len(sub.Body) > InlineMax {
-			r.ex.fail(ErrReplyFailed)
+			r.fail(ErrReplyFailed)
 			return ErrMsgTooLarge
 		}
 		if len(sub.Rights) > 0 {
-			r.ex.fail(ErrReplyFailed)
+			r.fail(ErrReplyFailed)
 			return ErrBatchRights
 		}
 	}
@@ -646,7 +660,7 @@ func (r *Responder) deliver(reply *Message) error {
 	k.chargeTransfer(reply, r.srv.task.asid, callerAS)
 	if len(reply.Rights) > 0 {
 		if err := r.srv.task.loadRights(reply); err != nil {
-			r.ex.fail(ErrReplyFailed)
+			r.fail(ErrReplyFailed)
 			return err
 		}
 	}
@@ -678,6 +692,7 @@ func (r *Responder) deliver(reply *Message) error {
 		// committed branch stamps: an abandoned exchange's hop was
 		// discarded by the client and must not be written further.
 		r.ex.request.ctx.Hop().StampServed()
+		r.srv.endServe()
 		r.ex.reply <- rpcOutcome{m: delivered, vt: r.srv.vt.Load()}
 	}
 	return nil
@@ -768,8 +783,10 @@ func (th *Thread) Serve(recvName PortName, h Handler) error {
 // RPC span carried in the message, so the causal tree crosses tasks; it
 // covers the handler AND reply delivery, which together are the
 // server-occupancy segment of one RPC that the concurrency model in
-// internal/bench calibrates from.  A pool worker (p non-nil) also keeps
-// the pool's busy gauge over the same segment and counts the completion.
+// internal/bench calibrates from.  The thread holds span and frames,
+// and the reply path closes them just before it wakes the client.  A
+// pool worker (p non-nil) also keeps the pool's busy gauge and counts
+// the completion.
 //
 // A failed reply delivery (oversized or bad-rights reply) poisons neither
 // the thread nor the port: the client was already unblocked with
@@ -786,20 +803,17 @@ func (th *Thread) serveLoop(recv receiveFn, h portHandler, frame string, p *Serv
 		if p != nil && st != nil {
 			st.Gauge(p.busyFam).Inc()
 		}
-		var sp ktrace.Span
 		if tr := ktrace.For(k.CPU); tr != nil {
-			sp = tr.Begin(ktrace.EvRPCServe, "mach.rpc", frame, req.trace)
+			th.serveSpan = tr.Begin(ktrace.EvRPCServe, "mach.rpc", frame, req.trace)
 		}
 		if pr := kprof.For(k.CPU); pr != nil {
-			pop := pr.Push(frame)
-			popOp := pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))
-			_ = dispatchReply(resp, req, port, h)
-			popOp()
-			pop()
-		} else {
-			_ = dispatchReply(resp, req, port, h)
+			th.serveFrame = pr.Push(frame)
+			pr.Push(fmt.Sprintf("op:%#04x", uint32(req.ID)))
 		}
-		sp.End()
+		_ = dispatchReply(resp, req, port, h)
+		// The reply path closed the window before waking the client; a
+		// reply to an abandoned exchange woke nobody and closes it here.
+		th.endServe()
 		if p != nil {
 			if st != nil {
 				st.Gauge(p.busyFam).Dec()

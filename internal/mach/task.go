@@ -212,6 +212,14 @@ type Thread struct {
 	// thread that never serves (a shared disk thread) keeps the zero
 	// Ctx, which its callers replace with CallOpts.Ctx.
 	ctx klat.Ctx
+	// serveSpan and serveFrame are the server loop's observation window
+	// for the request in hand: the ktrace serve: span and the kprof
+	// serve:/op: frames.  The reply path closes them (endServe) before
+	// it wakes the client, so nothing the client charges after waking
+	// lands inside them, whatever the host scheduler does.  Written only
+	// by the thread's own server loop and reply path; zero otherwise.
+	serveSpan  ktrace.Span
+	serveFrame kprof.Frame
 }
 
 // syncVT advances the thread's virtual clock to at least v: the thread
@@ -334,7 +342,7 @@ func (th *Thread) Done() <-chan struct{} { return th.doneCh }
 func (th *Thread) Self() PortName {
 	k := th.task.kernel
 	if p := kprof.For(k.CPU); p != nil {
-		defer p.Push("trap:thread_self")()
+		defer p.Push("trap:thread_self").Pop()
 	}
 	st := kstat.For(k.CPU)
 	var base cpu.Counters
